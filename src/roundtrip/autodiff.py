@@ -74,16 +74,8 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
 def constant(data, dtype=None) -> Tensor:
     return Tensor(data, requires_grad=False, dtype=dtype)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_default_dtype), requires_grad=requires_grad)
 
 
 class TapeError(RuntimeError):
@@ -172,11 +164,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
         t.grad = g if t.grad is None else t.grad + g
 
 
-def zero_grads(params: Sequence[Tensor]) -> None:
-    for p in params:
-        p.grad = None
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the original operand shape."""
     while g.ndim > len(shape):
@@ -197,21 +184,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
-
-    return record(out, (a, b), bwd)
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-    return record(out, (a,), lambda g: (-g,))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data)
-    a_shape, b_shape = a.shape, b.shape
-
-    def bwd(g):
-        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return record(out, (a, b), bwd)
 
@@ -453,11 +425,6 @@ def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g_exp, x_shape).copy(),)
 
     return record(out, (x,), bwd)
-
-
-def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = x.size if axis is None else x.shape[axis]
-    return scalar_mul(reduce_sum(x, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 # ---------------------------------------------------------------------------

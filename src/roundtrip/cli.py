@@ -132,7 +132,6 @@ def cmd_train(args, phase: str) -> int:
     cfg = load_config(args.config, **overrides)
     if phase == "pretrain":
         cfg.recon_mode = "none"
-    ad.set_default_dtype(cfg.precision)
     if not cfg.out_dir:
         raise UsageError("out_dir must be set (config key or --out-dir)")
     for path in (cfg.train_src, cfg.train_tgt, cfg.dev_src, cfg.dev_tgt):
@@ -143,60 +142,61 @@ def cmd_train(args, phase: str) -> int:
         raise UsageError(f"missing checkpoint: {init!r}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     train_pairs, dev_pairs, vocab = _load_data(cfg, out_dir=cfg.out_dir)
-    trainer = Trainer(cfg, vocab, train_pairs, dev_pairs, phase,
-                      cfg.out_dir, init_checkpoint=init)
-    with open(os.path.join(cfg.out_dir, "config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(serialize_config(cfg))
-    result = trainer.run()
-    print(f"{phase} finished at update {trainer.update}; "
-          f"best checkpoint {result.best_checkpoint}")
+    with ad.using_dtype(cfg.precision):
+        trainer = Trainer(cfg, vocab, train_pairs, dev_pairs, phase,
+                          cfg.out_dir, init_checkpoint=init)
+        with open(os.path.join(cfg.out_dir, "config.txt"), "w", encoding="utf-8") as fh:
+            fh.write(serialize_config(cfg))
+        result = trainer.run()
+        print(f"{phase} finished at update {trainer.update}; "
+              f"best checkpoint {result.best_checkpoint}")
     return 0
 
 
 def cmd_translate(args) -> int:
-    ad.set_default_dtype(args.precision)
-    params, vocab, _ = ckpt_io.load(args.checkpoint)
-    with open(args.input, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with ad.using_dtype(args.precision):
+        params, vocab, _ = ckpt_io.load(args.checkpoint)
+        with open(args.input, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
 
-    tag_tokens = {t for t in vocab.id_to_token if t.startswith("<") and t.endswith(">")}
-    pairs = []
-    keep = []
-    for i, line in enumerate(lines):
-        toks = line.lower().split()
-        if not toks:
-            print(f"warning: line {i + 1} is empty; emitting empty translation",
-                  file=sys.stderr)
-            continue
-        if toks[0] in tag_tokens:
-            lang = toks[0][1:-1]
-            toks = toks[1:]
-        elif args.src_lang:
-            lang = args.src_lang
-        else:
-            raise UsageError(f"line {i + 1} is untagged and no --src-lang given")
-        if f"<{lang}>" not in tag_tokens:
-            raise UsageError(f"language {lang!r} unknown to the checkpoint vocab")
-        if not toks:
-            print(f"warning: line {i + 1} has a tag but no tokens; "
-                  "emitting empty translation", file=sys.stderr)
-            continue
-        # target side of the pair is a placeholder; only the source is decoded
-        other = next(t[1:-1] for t in sorted(tag_tokens) if t != f"<{lang}>")
-        pairs.append(ParallelPair(TaggedSentence(lang, tuple(toks)),
-                                  TaggedSentence(other, ("x",))))
-        keep.append(i)
+        tag_tokens = {t for t in vocab.id_to_token if t.startswith("<") and t.endswith(">")}
+        pairs = []
+        keep = []
+        for i, line in enumerate(lines):
+            toks = line.lower().split()
+            if not toks:
+                print(f"warning: line {i + 1} is empty; emitting empty translation",
+                      file=sys.stderr)
+                continue
+            if toks[0] in tag_tokens:
+                lang = toks[0][1:-1]
+                toks = toks[1:]
+            elif args.src_lang:
+                lang = args.src_lang
+            else:
+                raise UsageError(f"line {i + 1} is untagged and no --src-lang given")
+            if f"<{lang}>" not in tag_tokens:
+                raise UsageError(f"language {lang!r} unknown to the checkpoint vocab")
+            if not toks:
+                print(f"warning: line {i + 1} has a tag but no tokens; "
+                      "emitting empty translation", file=sys.stderr)
+                continue
+            # target side of the pair is a placeholder; only the source is decoded
+            other = next(t[1:-1] for t in sorted(tag_tokens) if t != f"<{lang}>")
+            pairs.append(ParallelPair(TaggedSentence(lang, tuple(toks)),
+                                      TaggedSentence(other, ("x",))))
+            keep.append(i)
 
-    dcfg = DecodeConfig(mode="beam" if args.beam > 1 else "greedy",
-                        beam_width=args.beam)
-    hyps = decode_corpus(params, vocab, pairs, dcfg)
-    out_lines = [""] * len(lines)
-    for i, h in zip(keep, hyps):
-        out_lines[i] = h
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out_lines) + "\n")
-    print(f"wrote {len(lines)} hypotheses to {args.output}")
-    return 0
+        dcfg = DecodeConfig(mode="beam" if args.beam > 1 else "greedy",
+                            beam_width=args.beam)
+        hyps = decode_corpus(params, vocab, pairs, dcfg)
+        out_lines = [""] * len(lines)
+        for i, h in zip(keep, hyps):
+            out_lines[i] = h
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(out_lines) + "\n")
+        print(f"wrote {len(lines)} hypotheses to {args.output}")
+        return 0
 
 
 def _read_bleu_runs(run_dir: str) -> dict[str, dict[int, float]]:

@@ -48,7 +48,6 @@ class RunConfig:
     hidden_weight_dec: float = 0.5
     # evaluation
     eval_bleu: bool = True
-    beam_size: int = 5
     out_dir: str = ""
 
     def __post_init__(self):

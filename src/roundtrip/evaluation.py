@@ -9,8 +9,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
+from .autodiff import Tensor
 from .data import ParallelPair, Vocab, make_batch
-from .model import ModelParams, decode_step, encode, init_decoder_state, prepare_memory
+from .model import (DecoderState, Memory, ModelParams, decode_step, encode,
+                    init_decoder_state, length_caps, prepare_memory)
 
 
 @dataclass
@@ -27,46 +30,12 @@ class DecodeConfig:
             raise ValueError("beam width must be >= 1")
 
 
-def _caps(src_mask: np.ndarray, factor: int, offset: int) -> np.ndarray:
-    content = src_mask.sum(axis=1).astype(int) - 2
-    return np.array([factor * max(int(n), 1) + offset for n in content])
-
-
 def greedy_decode(params: ModelParams, src_ids: np.ndarray, src_mask: np.ndarray,
                   bos_id: int, eos_id: int, max_len_factor: int = 2,
                   max_len_offset: int = 5) -> list[list[int]]:
     """Per-step argmax decode; equals beta=0 sampling token for token."""
-    B = src_ids.shape[0]
-    enc = encode(params, src_ids, src_mask)
-    memory = prepare_memory(params.dec, enc)
-    state = init_decoder_state(params.dec, memory)
-    caps = _caps(src_mask, max_len_factor, max_len_offset)
-
-    done = np.zeros(B, dtype=bool)
-    outputs: list[list[int]] = [[] for _ in range(B)]
-    prev = np.full(B, bos_id, dtype=np.int64)
-    for t in range(int(caps.max())):
-        logits, state = decode_step(params, state, memory, prev_ids=prev)
-        ids = logits.data.argmax(axis=-1)
-        for b in range(B):
-            if not done[b]:
-                outputs[b].append(int(ids[b]))
-        done |= ~done & (ids == eos_id)
-        done |= caps <= t + 1
-        if done.all():
-            break
-        prev = ids
-    return outputs
-
-
-@dataclass
-class _Hypothesis:
-    ids: tuple[int, ...]
-    logprob: float
-    state: object
-
-    def score(self) -> float:
-        return self.logprob / max(len(self.ids), 1)
+    caps = length_caps(src_mask, max_len_factor, max_len_offset)
+    return _search(params, src_ids, src_mask, bos_id, eos_id, caps, width=1)
 
 
 def beam_decode(params: ModelParams, src_ids: np.ndarray, src_mask: np.ndarray,
@@ -74,57 +43,88 @@ def beam_decode(params: ModelParams, src_ids: np.ndarray, src_mask: np.ndarray,
     """Length-normalized beam search over one sentence; width 1 is greedy."""
     if src_ids.shape[0] != 1:
         raise ValueError("beam_decode operates on a single sentence")
-    enc = encode(params, src_ids, src_mask)
-    memory = prepare_memory(params.dec, enc)
-    state0 = init_decoder_state(params.dec, memory)
-    cap = int(_caps(src_mask, config.max_len_factor, config.max_len_offset)[0])
-    width = config.beam_width
-
-    live = [_Hypothesis((), 0.0, state0)]
-    finished: list[_Hypothesis] = []
-    for _ in range(cap):
-        candidates: list[tuple[float, int, _Hypothesis, object]] = []
-        for hyp in live:
-            prev = np.array([hyp.ids[-1] if hyp.ids else bos_id], dtype=np.int64)
-            logits, new_state = decode_step(params, hyp.state, memory, prev_ids=prev)
-            row = logits.data[0]
-            row = row - row.max()
-            logp = row - math.log(np.exp(row).sum())
-            top = np.argsort(-logp, kind="stable")[: width]
-            for tok in top:
-                candidates.append((hyp.logprob + float(logp[tok]), int(tok),
-                                   hyp, new_state))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        live = []
-        for logprob, tok, parent, new_state in candidates[: width]:
-            hyp = _Hypothesis(parent.ids + (tok,), logprob, new_state)
-            if tok == eos_id:
-                finished.append(hyp)
-            else:
-                live.append(hyp)
-        if not live or len(finished) >= width:
-            break
-    pool = finished if finished else live
-    best = max(pool, key=lambda h: (h.score(), -len(h.ids)))
-    return list(best.ids)
+    caps = length_caps(src_mask, config.max_len_factor, config.max_len_offset)
+    return _search(params, src_ids, src_mask, bos_id, eos_id, caps,
+                   config.beam_width)[0]
 
 
-def hypothesis_score(params: ModelParams, src_ids: np.ndarray, src_mask: np.ndarray,
-                     hyp_ids: list[int], bos_id: int) -> float:
-    """Length-normalized model log-probability of a decoded hypothesis."""
-    from . import autodiff as ad
+def _rows(x: Tensor, idx: np.ndarray) -> Tensor:
+    return ad.constant(x.data[idx], dtype=x.data.dtype)
 
-    enc = encode(params, src_ids, src_mask)
-    memory = prepare_memory(params.dec, enc)
+
+def _search(params: ModelParams, src_ids: np.ndarray, src_mask: np.ndarray,
+            bos_id: int, eos_id: int, caps: np.ndarray, width: int) -> list[list[int]]:
+    """Beam search of `width` hypotheses per sentence, the live hypotheses of
+    all sentences being the rows of one decoder batch.
+
+    Each live hypothesis offers its `width` best next tokens (lowest id first
+    on ties), and each sentence keeps its `width` best offers by float64
+    log-probability, then token id, then the parent's rank. An offer of EOS
+    is finished and leaves the batch. A sentence stops when none of its
+    hypotheses is live, `width` have finished or it reaches its cap; it
+    returns the hypothesis with the best length-normalized score, the
+    shorter on ties, taken from the live ones only when none finished.
+    Width 1 is argmax decoding and reads no scores.
+    """
+    B = src_ids.shape[0]
+    memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
     state = init_decoder_state(params.dec, memory)
-    prev = np.array([bos_id], dtype=np.int64)
-    total = 0.0
-    for tok in hyp_ids:
+    sent = np.arange(B)                       # sentence of each row
+    scores = np.zeros(B)                      # float64 log-probability of each row
+    paths = np.zeros((B, 0), dtype=np.int64)  # tokens of each row
+    prev = np.full(B, bos_id, dtype=np.int64)
+    n_finished = np.zeros(B, dtype=int)
+    # per sentence, (tokens, score) of the hypotheses it picks from: the
+    # finished ones in the order they finished, or, if none finished, the
+    # live ones when it stopped
+    pools: list[list] = [[] for _ in range(B)]
+    for t in range(int(caps.max())):
         logits, state = decode_step(params, state, memory, prev_ids=prev)
-        nll = ad.cross_entropy(logits, np.array([tok]))
-        total -= float(nll.data[0])
-        prev = np.array([tok], dtype=np.int64)
-    return total / max(len(hyp_ids), 1)
+        if width == 1:
+            # each row is its sentence's one hypothesis, and its argmax survives
+            parent, tok, offers = np.arange(len(sent)), logits.data.argmax(axis=-1), scores
+        else:
+            z = logits.data - logits.data.max(axis=-1, keepdims=True)
+            # each row's log-sum-exp in float64, then rounded to the run precision
+            lse = [math.log(s) for s in np.exp(z).sum(axis=-1)]
+            logp = z - np.array(lse, dtype=z.dtype)[:, None]
+            # offers: every token at least as likely as the row's k-th best.
+            # Tokens tied with it beyond the row's k lowest ids rank below
+            # the row's own k offers, so the cut below drops them.
+            k = min(width, logp.shape[1])
+            kth = np.partition(logp, -k, axis=-1)[:, -k]
+            parent, tok = np.nonzero(logp >= kth[:, None])
+            offers = scores[parent] + logp[parent, tok]
+            # each sentence's offers best first; its first `width` survive
+            order = np.lexsort((parent, tok, -offers, sent[parent]))
+            ranked = sent[parent[order]]
+            order = order[np.arange(len(order)) - np.searchsorted(ranked, ranked) < width]
+            parent, tok, offers = parent[order], tok[order], offers[order]
+        paths = np.concatenate([paths[parent], tok[:, None]], axis=1)
+        owner = sent[parent]
+        ended = tok == eos_id
+        n_finished += np.bincount(owner[ended], minlength=B)
+        stop = (n_finished >= width) | (caps <= t + 1)
+        for i in np.flatnonzero(ended | (stop[owner] & (n_finished[owner] == 0))):
+            pools[owner[i]].append((paths[i], offers[i]))
+        keep = ~ended & ~stop[owner]
+        if not keep.any():
+            break
+        parent, prev, scores, paths = parent[keep], tok[keep], offers[keep], paths[keep]
+        state = DecoderState(_rows(state.h, parent), _rows(state.cell, parent),
+                             _rows(state.context, parent))
+        if not np.array_equal(owner[keep], sent):
+            sent = owner[keep]
+            memory = Memory(_rows(memory.annotations, parent),
+                            _rows(memory.ann_keys, parent), memory.mask[parent],
+                            _rows(memory.summary, parent))
+
+    out = []
+    for pool in pools:
+        best = max(pool, default=((), 0.0),
+                   key=lambda h: (h[1] / max(len(h[0]), 1), -len(h[0])))
+        out.append([int(i) for i in best[0]])
+    return out
 
 
 # ---------------------------------------------------------------------------

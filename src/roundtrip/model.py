@@ -141,9 +141,6 @@ class ModelParams:
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
-    def num_params(self) -> int:
-        return sum(t.size for t in self.parameters())
-
     @property
     def output_projection(self) -> Tensor:
         # tied: same storage object as the embedding matrix
@@ -177,7 +174,6 @@ class DecoderState:
     h: Tensor
     cell: Tensor
     context: Tensor
-    t: int
     att_weights: np.ndarray | None = None
 
 
@@ -251,7 +247,7 @@ def init_decoder_state(dec: DecoderParams, memory: Memory) -> DecoderState:
     c0 = ad.tanh(ad.add(ad.matmul(memory.summary, dec.w_init_c), dec.b_init_c))
     B = memory.mask.shape[0]
     ctx0 = ad.constant(np.zeros((B, dec.d_ann)))
-    return DecoderState(h0, c0, ctx0, 0)
+    return DecoderState(h0, c0, ctx0)
 
 
 def attend(dec: DecoderParams, state_h: Tensor, memory: Memory) -> tuple[Tensor, Tensor]:
@@ -270,8 +266,8 @@ def attend(dec: DecoderParams, state_h: Tensor, memory: Memory) -> tuple[Tensor,
 def decode_step(params: ModelParams, state: DecoderState, memory: Memory,
                 prev_ids: np.ndarray | None = None, prev_dist: Tensor | None = None,
                 train: bool = False, rng: np.random.Generator | None = None,
-                dec: DecoderParams | None = None, E: Tensor | None = None,
-                out_E: Tensor | None = None) -> tuple[Tensor, DecoderState]:
+                dec: DecoderParams | None = None,
+                E: Tensor | None = None) -> tuple[Tensor, DecoderState]:
     """One decoder step: returns next-token logits and the new state.
 
     prev_ids feeds a hard token; prev_dist feeds a soft distribution whose
@@ -281,7 +277,6 @@ def decode_step(params: ModelParams, state: DecoderState, memory: Memory,
         raise ValueError("decoder state is uninitialized")
     dec = dec or params.dec
     E = E if E is not None else params.E
-    out_E = out_E if out_E is not None else E
     p_drop = (params.config.dropout if train else 0.0)
 
     emb = _embed_step(E, prev_ids, prev_dist)
@@ -293,17 +288,23 @@ def decode_step(params: ModelParams, state: DecoderState, memory: Memory,
     h_for_out = ad.dropout(h_new, p_drop, rng) if p_drop else h_new
     combined = ad.concat([h_for_out, context], axis=-1)
     out = ad.tanh(ad.add(ad.matmul(combined, dec.w_out), dec.b_out))
-    logits = ad.matmul_t(out, out_E)
-    new_state = DecoderState(h_new, c_new, context, state.t + 1, alpha.data)
+    logits = ad.matmul_t(out, E)
+    new_state = DecoderState(h_new, c_new, context, alpha.data)
     return logits, new_state
+
+
+def length_caps(src_mask: np.ndarray, factor: int, offset: int) -> np.ndarray:
+    """Most tokens a decode may emit per source row: factor * n + offset,
+    n the content length (tag and EOS not counted), at least 1."""
+    content = src_mask.sum(axis=1).astype(int) - 2
+    return factor * np.maximum(content, 1) + offset
 
 
 def sequence_nll(params: ModelParams, memory: Memory, tgt_ids: np.ndarray,
                  tgt_mask: np.ndarray, bos_id: int, train: bool = False,
                  rng: np.random.Generator | None = None,
                  collect_states: bool = False,
-                 dec: DecoderParams | None = None, E: Tensor | None = None,
-                 out_E: Tensor | None = None):
+                 dec: DecoderParams | None = None, E: Tensor | None = None):
     """Teacher-forced NLL summed over unmasked target positions.
 
     Ground-truth tokens are fed at every step; the first input is BOS and the
@@ -320,7 +321,7 @@ def sequence_nll(params: ModelParams, memory: Memory, tgt_ids: np.ndarray,
     states: list[Tensor] = []
     for t in range(T):
         logits, state = decode_step(params, state, memory, prev_ids=prev,
-                                    train=train, rng=rng, dec=dec, E=E, out_E=out_E)
+                                    train=train, rng=rng, dec=dec, E=E)
         nll = ad.cross_entropy(logits, tgt_ids[:, t])
         step_loss = ad.reduce_sum(ad.mul(nll, ad.constant(tgt_mask[:, t])))
         loss_sum = step_loss if loss_sum is None else ad.add(loss_sum, step_loss)

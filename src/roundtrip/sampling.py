@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .model import (ModelParams, decode_step, encode, init_decoder_state,
-                    prepare_memory)
+                    length_caps, prepare_memory)
 
 UNIFORM_CLAMP = 1e-12
 
@@ -48,18 +48,18 @@ class STGSConfig:
         if self.tau <= 0:
             raise ValueError("tau must be > 0")
 
-    def cap(self, source_len: int) -> int:
-        return self.max_len_factor * source_len + self.max_len_offset
-
 
 def sample_gumbel(shape, beta: float, rng: np.random.Generator) -> np.ndarray:
     """-beta * log(-log u) with u clamped away from {0, 1}."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
+    dtype = ad.default_dtype()
     if beta == 0.0:
-        return np.zeros(shape, dtype=ad.default_dtype())
-    u = rng.random(shape).astype(ad.default_dtype())
-    u = np.clip(u, UNIFORM_CLAMP, 1.0 - UNIFORM_CLAMP)
+        return np.zeros(shape, dtype=dtype)
+    u = rng.random(shape).astype(dtype)
+    # 1 - UNIFORM_CLAMP rounds to 1.0 in float32, where -log(-log u) is +inf
+    top = min(dtype.type(1.0 - UNIFORM_CLAMP), np.nextafter(dtype.type(1), dtype.type(0)))
+    u = np.clip(u, UNIFORM_CLAMP, top)
     return -beta * np.log(-np.log(u))
 
 
@@ -122,25 +122,19 @@ def sample_translation(params: ModelParams, src_ids: np.ndarray, src_mask: np.nd
                        noise: GumbelNoiseSource, cfg: STGSConfig, bos_id: int,
                        eos_id: int, train: bool = False,
                        rng: np.random.Generator | None = None,
-                       soft_forward: bool = False, stop_on_eos: bool = True,
-                       teacher_forced_ids: np.ndarray | None = None) -> SampledSequence:
+                       soft_forward: bool = False,
+                       stop_on_eos: bool = True) -> SampledSequence:
     """Decode by feeding back the model's own straight-through samples.
 
     Step 0 consumes BOS; a trained model then emits the target language tag.
-    Each sentence stops at its first EOS or at cap(source content length).
-    teacher_forced_ids switches the feed to ground-truth previous tokens (the
-    ablation known to produce incoherent prefixes); sampling is unchanged.
+    Each sentence stops at its first EOS or at its `length_caps` cap.
     """
     B = src_ids.shape[0]
     enc = encode(params, src_ids, src_mask, train=train, rng=rng)
     memory = prepare_memory(params.dec, enc)
     state = init_decoder_state(params.dec, memory)
 
-    content_lens = src_mask.sum(axis=1).astype(int) - 2  # minus tag and EOS
-    caps = np.array([cfg.cap(max(int(n), 1)) for n in content_lens])
-    max_steps = int(caps.max())
-    if teacher_forced_ids is not None:
-        max_steps = min(max_steps, teacher_forced_ids.shape[1])
+    caps = length_caps(src_mask, cfg.max_len_factor, cfg.max_len_offset)
 
     done = np.zeros(B, dtype=bool)
     truncated = np.zeros(B, dtype=bool)
@@ -150,7 +144,7 @@ def sample_translation(params: ModelParams, src_ids: np.ndarray, src_mask: np.nd
 
     prev_ids: np.ndarray | None = np.full(B, bos_id, dtype=np.int64)
     prev_dist: Tensor | None = None
-    for t in range(max_steps):
+    for t in range(int(caps.max())):
         logits, state = decode_step(params, state, memory, prev_ids=prev_ids,
                                     prev_dist=prev_dist, train=train, rng=rng)
         g = noise.draw(logits.shape)
@@ -168,11 +162,7 @@ def sample_translation(params: ModelParams, src_ids: np.ndarray, src_mask: np.nd
         done |= at_cap
         if done.all():
             break
-
-        if teacher_forced_ids is not None:
-            prev_ids, prev_dist = teacher_forced_ids[:, t], None
-        else:
-            prev_ids, prev_dist = None, st
+        prev_ids, prev_dist = None, st
 
     T = len(steps)
     mask = (np.arange(T)[None, :] < lengths[:, None]).astype(ad.default_dtype())

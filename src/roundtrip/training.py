@@ -111,9 +111,6 @@ class HiddenReconstructorParams:
         out.extend(self.dec_dec.named("aux_dec.dec"))
         return out
 
-    def num_params(self) -> int:
-        return sum(t.size for _, t in self.named_parameters())
-
 
 def _masked_mean_states(states: list[Tensor], mask: np.ndarray) -> Tensor:
     total = None
@@ -146,7 +143,7 @@ def hidden_reconstruction_loss(params: ModelParams, batch: Batch,
     mem_enc = prepare_memory(aux.dec_enc, enc)
     enc_sum_t, enc_tokens, _ = sequence_nll(
         params, mem_enc, batch.src_ids, batch.src_mask, bos_id, train=train,
-        rng=rng, dec=aux.dec_enc, E=aux.E_enc, out_E=aux.E_enc)
+        rng=rng, dec=aux.dec_enc, E=aux.E_enc)
 
     dec_ann = ad.stack(dec_states, axis=1)
     dec_summary = _masked_mean_states(dec_states, batch.tgt_mask)
@@ -154,7 +151,7 @@ def hidden_reconstruction_loss(params: ModelParams, batch: Batch,
     mem_dec = prepare_memory(aux.dec_dec, enc_like)
     dec_sum_t, _, _ = sequence_nll(
         params, mem_dec, batch.src_ids, batch.src_mask, bos_id, train=train,
-        rng=rng, dec=aux.dec_dec, E=aux.E_dec, out_E=aux.E_dec)
+        rng=rng, dec=aux.dec_dec, E=aux.E_dec)
 
     # both reconstructors score the same source tokens, so the weighted sum
     # is normalized by that count once

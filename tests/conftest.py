@@ -29,8 +29,9 @@ def toy_task(task="reversal", size=120, vocab=12, seed=5, dev_size=24,
 
 
 @pytest.fixture(scope="session")
-def copy_model():
-    """A model overfit on a tiny copy task; used by decode/translate tests."""
+def copy_model(tmp_path_factory):
+    """A model overfit on a tiny copy task, trained in fp32; used by
+    decode/translate tests."""
     from roundtrip.training import Trainer
 
     data, vocab = toy_task(task="copy", size=96, vocab=10, seed=3, min_len=2,
@@ -38,7 +39,8 @@ def copy_model():
     cfg = RunConfig(d_emb=32, d_hidden=32, d_attention=32, dropout=0.1,
                     batch_size=32, checkpoint_interval=150, max_updates=450,
                     seed=3, eval_bleu=False)
-    trainer = Trainer(cfg, vocab, data["train"], data["dev"], "pretrain",
-                      out_dir="/tmp/roundtrip-copy-model")
-    trainer.run()
+    with ad.using_dtype("fp32"):
+        trainer = Trainer(cfg, vocab, data["train"], data["dev"], "pretrain",
+                          out_dir=str(tmp_path_factory.mktemp("copy-model")))
+        trainer.run()
     return trainer.params, vocab, data

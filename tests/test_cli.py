@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from roundtrip import autodiff as ad
 from roundtrip import checkpoint as ckpt_io
 from roundtrip.cli import main
 from roundtrip.config import RunConfig, parse_config, serialize_config
@@ -162,6 +163,17 @@ class TestTranslate:
         assert run_cli("translate", "--checkpoint", ckpt, "--input", str(inp),
                        "--output", out, "--src-lang", "l1", "--beam", "3") == 0
         assert open(out).read().splitlines() == [sent]
+
+    def test_precision_flag_does_not_leak(self, tmp_path, copy_model, fp64):
+        params, vocab, data = copy_model
+        ckpt = str(tmp_path / "model.npz")
+        ckpt_io.save(ckpt, params, vocab, "fp32")
+        inp = tmp_path / "input.txt"
+        inp.write_text(" ".join(data["train"][0].source.tokens) + "\n")
+        assert run_cli("translate", "--checkpoint", ckpt, "--input", str(inp),
+                       "--output", str(tmp_path / "hyp.txt"), "--src-lang", "l1",
+                       "--precision", "fp32") == 0
+        assert ad.default_dtype() == np.float64
 
     def test_empty_line_warns_and_emits_empty(self, tmp_path, copy_model, capsys):
         params, vocab, data = copy_model

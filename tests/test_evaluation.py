@@ -11,12 +11,20 @@ from roundtrip import autodiff as ad
 from roundtrip.data import make_batch
 from roundtrip.evaluation import (BleuStats, DecodeConfig, beam_decode,
                                   corpus_bleu, decode_corpus, delta_bleu_report,
-                                  greedy_decode, hypothesis_score, perplexity,
-                                  tokenize_13a_approx)
-from roundtrip.model import ModelConfig, ModelParams
+                                  greedy_decode, perplexity, tokenize_13a_approx)
+from roundtrip.model import ModelConfig, ModelParams, teacher_forced_nll
 from roundtrip.sampling import GumbelNoiseSource, STGSConfig, sample_translation
 
+import reference_beam
 from conftest import toy_task
+
+
+def normalized_logprob(params, batch, hyp_ids, bos_id) -> float:
+    """Teacher-forced log-probability of a hypothesis per token."""
+    tgt_ids = np.array([hyp_ids])
+    loss_sum, n_tokens, _, _ = teacher_forced_nll(
+        params, batch.src_ids, batch.src_mask, tgt_ids, np.ones(tgt_ids.shape), bos_id)
+    return -float(loss_sum.data) / n_tokens
 
 
 def tiny_params(vocab_size=9, d=6, seed=0):
@@ -127,7 +135,66 @@ class TestGreedyAndSampling:
             assert hyps == refs
 
 
+def random_batch(rng, n_sents=8, vocab_size=12):
+    """Tagged sources of 1-5 tokens, padded to one width: (ids, mask)."""
+    lens = rng.integers(1, 6, size=n_sents)
+    width = int(lens.max()) + 2
+    src_ids = np.zeros((n_sents, width), dtype=np.int64)
+    src_mask = np.zeros((n_sents, width))
+    for b, n in enumerate(lens):
+        row = [4] + list(rng.integers(6, vocab_size, size=n)) + [2]
+        src_ids[b, : len(row)] = row
+        src_mask[b, : len(row)] = 1.0
+    return src_ids, src_mask
+
+
+def assert_matches_per_sentence_beam(params, src_ids, src_mask, bos, eos):
+    """Assert that the batched greedy decode and the beam at widths 1, 2, 3
+    and 5 return exactly what the per-sentence reference beam returns, and
+    return the number of sentences compared."""
+    greedy = greedy_decode(params, src_ids, src_mask, bos, eos)
+    for b in range(src_ids.shape[0]):
+        n = int(src_mask[b].sum())
+        one_ids, one_mask = src_ids[b: b + 1, :n], src_mask[b: b + 1, :n]
+        for width in (1, 2, 3, 5):
+            cfg = DecodeConfig(mode="beam", beam_width=width)
+            want = reference_beam.beam_decode(params, one_ids, one_mask, bos, eos, cfg)
+            assert beam_decode(params, one_ids, one_mask, bos, eos, cfg) == want
+            if width == 1:
+                assert greedy[b] == want
+    return src_ids.shape[0]
+
+
 class TestBeam:
+    @pytest.mark.parametrize("precision", ["fp64", "fp32"])
+    def test_matches_per_sentence_beam_on_200_random_sentences(self, precision):
+        rng = np.random.default_rng(17)
+        checked = 0
+        with ad.using_dtype(precision):
+            for seed in range(5):  # 5 models x 5 batches x 8 sentences
+                params = tiny_params(vocab_size=12, seed=seed)
+                for _ in range(5):
+                    checked += assert_matches_per_sentence_beam(
+                        params, *random_batch(rng), bos=1, eos=2)
+        assert checked == 200
+
+    @pytest.mark.parametrize("precision", ["fp64", "fp32"])
+    def test_matches_per_sentence_beam_with_tied_tokens(self, precision):
+        # tokens 2k+1 copy the embedding row of token 2k, so their logits tie
+        rng = np.random.default_rng(23)
+        with ad.using_dtype(precision):
+            params = tiny_params(vocab_size=12, seed=3)
+            params.E.data[7::2] = params.E.data[6:-1:2]
+            for _ in range(5):
+                assert_matches_per_sentence_beam(params, *random_batch(rng), bos=1, eos=2)
+
+    def test_matches_per_sentence_beam_on_copy_model(self, copy_model):
+        params, vocab, data = copy_model
+        with ad.using_dtype("fp32"):
+            batch = make_batch(vocab, data["test"] + data["dev"])
+            assert_matches_per_sentence_beam(params, batch.src_ids, batch.src_mask,
+                                             vocab.bos, vocab.eos)
+
     def test_width_one_equals_greedy_on_50_sentences(self, fp64):
         params = tiny_params(vocab_size=12, seed=5)
         rng = np.random.default_rng(1)
@@ -151,10 +218,8 @@ class TestBeam:
                 beam = beam_decode(params, batch.src_ids, batch.src_mask,
                                    vocab.bos, vocab.eos,
                                    DecodeConfig(mode="beam", beam_width=5))
-                s_g = hypothesis_score(params, batch.src_ids, batch.src_mask,
-                                       greedy, vocab.bos)
-                s_b = hypothesis_score(params, batch.src_ids, batch.src_mask,
-                                       beam, vocab.bos)
+                s_g, s_b = (normalized_logprob(params, batch, hyp, vocab.bos)
+                            for hyp in (greedy, beam))
                 assert s_b >= s_g - 1e-9
 
     def test_deterministic_across_runs(self, fp64):

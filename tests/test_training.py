@@ -193,8 +193,7 @@ class TestObjectives:
         enc_nll, _, _ = sequence_nll(
             params, prepare_memory(aux.dec_enc, encode(params, batch.src_ids,
                                                        batch.src_mask)),
-            batch.src_ids, batch.src_mask, 1, dec=aux.dec_enc, E=aux.E_enc,
-            out_E=aux.E_enc)
+            batch.src_ids, batch.src_mask, 1, dec=aux.dec_enc, E=aux.E_enc)
         assert n_tokens == n_src
         assert enc_sum == pytest.approx(float(enc_nll.data), rel=1e-12)
         assert float(enc_only.data) == pytest.approx(float(enc_nll.data) / n_src,
