@@ -7,6 +7,7 @@ update sequence. Structural mismatches (dims, vocab, precision) fail fast.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -37,14 +38,7 @@ def save(path: str, params: ModelParams, vocab: Vocab, precision: str,
     header = {
         "version": FORMAT_VERSION,
         "precision": precision,
-        "config": {
-            "vocab_size": params.config.vocab_size,
-            "d_emb": params.config.d_emb,
-            "d_hidden": params.config.d_hidden,
-            "d_attention": params.config.d_attention,
-            "dropout": params.config.dropout,
-            "layer_norm": params.config.layer_norm,
-        },
+        "config": dataclasses.asdict(params.config),
         "config_hash": structural_hash(params.config, precision),
         "meta": meta or {},
     }
@@ -66,11 +60,7 @@ def load(path: str, expect_hash: str | None = None) -> tuple[ModelParams, Vocab,
         from .data import RESERVED
 
         vocab = Vocab(tokens[len(RESERVED):])
-        cfgd = header["config"]
-        config = ModelConfig(vocab_size=cfgd["vocab_size"], d_emb=cfgd["d_emb"],
-                             d_hidden=cfgd["d_hidden"], d_attention=cfgd["d_attention"],
-                             dropout=cfgd["dropout"], layer_norm=cfgd["layer_norm"])
-        params = ModelParams(config, np.random.default_rng(0))
+        params = ModelParams(ModelConfig(**header["config"]), np.random.default_rng(0))
         dtype = ad.default_dtype()
         for name, t in params.named_parameters():
             key = f"param/{name}"

@@ -124,14 +124,9 @@ def _load_data(cfg: RunConfig, out_dir: str | None = None):
 
 
 def cmd_train(args, phase: str) -> int:
-    overrides = {"out_dir": args.out_dir, "seed": args.seed}
-    if args.max_updates is not None:
-        overrides["max_updates"] = args.max_updates
-    if phase == "finetune" and args.recon_mode is not None:
-        overrides["recon_mode"] = args.recon_mode
-    cfg = load_config(args.config, **overrides)
-    if phase == "pretrain":
-        cfg.recon_mode = "none"
+    recon_mode = "none" if phase == "pretrain" else args.recon_mode
+    cfg = load_config(args.config, out_dir=args.out_dir, seed=args.seed,
+                      max_updates=args.max_updates, recon_mode=recon_mode)
     if not cfg.out_dir:
         raise UsageError("out_dir must be set (config key or --out-dir)")
     for path in (cfg.train_src, cfg.train_tgt, cfg.dev_src, cfg.dev_tgt):
@@ -159,7 +154,7 @@ def cmd_translate(args) -> int:
         with open(args.input, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
 
-        tag_tokens = {t for t in vocab.id_to_token if t.startswith("<") and t.endswith(">")}
+        tag_tokens = set(vocab.language_tags)
         pairs = []
         keep = []
         for i, line in enumerate(lines):

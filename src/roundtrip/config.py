@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .model import ModelConfig
 
@@ -109,9 +109,8 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def load_config(path: str, **overrides) -> RunConfig:
+    """Parse a config file, then apply the overrides that are not None; the
+    result is validated as a whole."""
     with open(path, encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
-    for k, v in overrides.items():
-        if v is not None:
-            setattr(cfg, k, v)
-    return cfg
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})

@@ -96,6 +96,12 @@ class Vocab:
     def unk(self) -> int:
         return self.token_to_id[UNK]
 
+    @property
+    def language_tags(self) -> list[str]:
+        """The `<lang>` tag tokens, in id order; reserved tokens are not tags."""
+        return [t for t in self.id_to_token[len(RESERVED):]
+                if t.startswith("<") and t.endswith(">")]
+
     def encode(self, tokens: Iterable[str]) -> list[int]:
         unk = self.unk
         return [self.token_to_id.get(t, unk) for t in tokens]
@@ -117,28 +123,6 @@ class Vocab:
             counts.update(p.target.tokens)
         ordered = sorted(tags) + [t for t, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
         return cls(ordered)
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("#roundtrip-vocab v1\n")
-            for i, tok in enumerate(self.id_to_token):
-                fh.write(f"{tok}\t{i}\n")
-
-    @classmethod
-    def load(cls, path: str) -> "Vocab":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline()
-            if not header.startswith("#roundtrip-vocab"):
-                raise ValueError(f"{path} is not a vocab file")
-            entries = []
-            for line in fh:
-                tok, i = line.rstrip("\n").split("\t")
-                entries.append((int(i), tok))
-        entries.sort()
-        tokens = [tok for _, tok in entries]
-        if tokens[: len(RESERVED)] != list(RESERVED):
-            raise ValueError("vocab file is missing the reserved tokens")
-        return cls(tokens[len(RESERVED):])
 
 
 @dataclass

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import ParallelPair, Vocab, make_batch
+from .data import RESERVED, ParallelPair, Vocab, make_batch
 from .model import (DecoderState, Memory, ModelParams, decode_step, encode,
                     init_decoder_state, length_caps, prepare_memory)
 
@@ -79,7 +79,7 @@ def _search(params: ModelParams, src_ids: np.ndarray, src_mask: np.ndarray,
     # live ones when it stopped
     pools: list[list] = [[] for _ in range(B)]
     for t in range(int(caps.max())):
-        logits, state = decode_step(params, state, memory, prev_ids=prev)
+        logits, state = decode_step(params.dec, state, memory, prev_ids=prev)
         if width == 1:
             # each row is its sentence's one hypothesis, and its argmax survives
             parent, tok, offers = np.arange(len(sent)), logits.data.argmax(axis=-1), scores
@@ -111,8 +111,7 @@ def _search(params: ModelParams, src_ids: np.ndarray, src_mask: np.ndarray,
         if not keep.any():
             break
         parent, prev, scores, paths = parent[keep], tok[keep], offers[keep], paths[keep]
-        state = DecoderState(_rows(state.h, parent), _rows(state.cell, parent),
-                             _rows(state.context, parent))
+        state = DecoderState(_rows(state.h, parent), _rows(state.cell, parent))
         if not np.array_equal(owner[keep], sent):
             sent = owner[keep]
             memory = Memory(_rows(memory.annotations, parent),
@@ -209,7 +208,7 @@ def perplexity(params: ModelParams, corpus: list[ParallelPair], vocab: Vocab,
     total, tokens = 0.0, 0.0
     for i in range(0, len(corpus), batch_size):
         batch = make_batch(vocab, corpus[i: i + batch_size])
-        loss_sum, n, _, _ = teacher_forced_nll(
+        loss_sum, n = teacher_forced_nll(
             params, batch.src_ids, batch.src_mask, batch.tgt_ids, batch.tgt_mask,
             vocab.bos)
         total += float(loss_sum.data)
@@ -221,9 +220,7 @@ def decode_corpus(params: ModelParams, vocab: Vocab, pairs: list[ParallelPair],
                   config: DecodeConfig, batch_size: int = 48) -> list[str]:
     """Decode sources to target-language text (tag and EOS stripped)."""
     out: list[str] = []
-    specials = {vocab.pad, vocab.bos, vocab.eos}
-    tag_ids = {vocab.token_to_id[t] for t in vocab.id_to_token
-               if t.startswith("<") and t.endswith(">")}
+    dropped = {vocab.token_to_id[t] for t in (*RESERVED, *vocab.language_tags)}
     for i in range(0, len(pairs), batch_size):
         chunk = pairs[i: i + batch_size]
         batch = make_batch(vocab, chunk)
@@ -239,8 +236,7 @@ def decode_corpus(params: ModelParams, vocab: Vocab, pairs: list[ParallelPair],
                                  vocab.bos, vocab.eos, config.max_len_factor,
                                  config.max_len_offset)
         for ids in rows:
-            toks = [vocab.id_to_token[i] for i in ids
-                    if i not in specials and i not in tag_ids]
+            toks = [vocab.id_to_token[i] for i in ids if i not in dropped]
             out.append(" ".join(toks))
     return out
 

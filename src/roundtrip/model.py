@@ -94,18 +94,25 @@ class AttentionParams:
 
 
 class DecoderParams:
-    """Attentional decoder over a memory of d_ann-wide annotation vectors."""
+    """Attentional decoder over a memory of d_ann-wide annotation vectors.
 
-    def __init__(self, rng, d_emb: int, d_hidden: int, d_att: int, d_ann: int,
-                 layer_norm: bool):
-        self.cell = LstmCellParams(rng, d_emb + d_ann, d_hidden, layer_norm)
-        self.att = AttentionParams(rng, d_ann, d_hidden, d_att)
+    `E` is the decoder's tied embedding and output projection. It is held by
+    reference, may be shared with an encoder, and is listed by the owner
+    that made it, not by `named`.
+    """
+
+    def __init__(self, rng, config: ModelConfig, E: Tensor, d_ann: int):
+        d_emb, d_hidden = config.d_emb, config.d_hidden
+        self.cell = LstmCellParams(rng, d_emb + d_ann, d_hidden, config.layer_norm)
+        self.att = AttentionParams(rng, d_ann, d_hidden, config.d_attention)
         self.w_init_h = Tensor(_xavier(rng, d_ann, d_hidden), requires_grad=True)
         self.b_init_h = Tensor(np.zeros(d_hidden), requires_grad=True)
         self.w_init_c = Tensor(_xavier(rng, d_ann, d_hidden), requires_grad=True)
         self.b_init_c = Tensor(np.zeros(d_hidden), requires_grad=True)
         self.w_out = Tensor(_xavier(rng, d_hidden + d_ann, d_emb), requires_grad=True)
         self.b_out = Tensor(np.zeros(d_emb), requires_grad=True)
+        self.E = E
+        self.dropout = config.dropout
         self.d_ann = d_ann
 
     def named(self, prefix: str):
@@ -127,9 +134,7 @@ class ModelParams:
         self.E = Tensor(_xavier(rng, config.vocab_size, config.d_emb), requires_grad=True)
         self.enc_fwd = LstmCellParams(rng, config.d_emb, config.d_hidden, config.layer_norm)
         self.enc_bwd = LstmCellParams(rng, config.d_emb, config.d_hidden, config.layer_norm)
-        self.dec = DecoderParams(rng, config.d_emb, config.d_hidden,
-                                 config.d_attention, 2 * config.d_hidden,
-                                 config.layer_norm)
+        self.dec = DecoderParams(rng, config, self.E, 2 * config.d_hidden)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = [("E", self.E)]
@@ -137,14 +142,6 @@ class ModelParams:
         out.extend(self.enc_bwd.named("enc_bwd"))
         out.extend(self.dec.named("dec"))
         return out
-
-    def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
-
-    @property
-    def output_projection(self) -> Tensor:
-        # tied: same storage object as the embedding matrix
-        return self.E
 
 
 @dataclass
@@ -173,8 +170,6 @@ class Memory:
 class DecoderState:
     h: Tensor
     cell: Tensor
-    context: Tensor
-    att_weights: np.ndarray | None = None
 
 
 def _masked_carry(new: Tensor, old: Tensor, mask_col: np.ndarray) -> Tensor:
@@ -245,9 +240,7 @@ def prepare_memory(dec: DecoderParams, enc: EncoderOutput) -> Memory:
 def init_decoder_state(dec: DecoderParams, memory: Memory) -> DecoderState:
     h0 = ad.tanh(ad.add(ad.matmul(memory.summary, dec.w_init_h), dec.b_init_h))
     c0 = ad.tanh(ad.add(ad.matmul(memory.summary, dec.w_init_c), dec.b_init_c))
-    B = memory.mask.shape[0]
-    ctx0 = ad.constant(np.zeros((B, dec.d_ann)))
-    return DecoderState(h0, c0, ctx0)
+    return DecoderState(h0, c0)
 
 
 def attend(dec: DecoderParams, state_h: Tensor, memory: Memory) -> tuple[Tensor, Tensor]:
@@ -263,11 +256,10 @@ def attend(dec: DecoderParams, state_h: Tensor, memory: Memory) -> tuple[Tensor,
     return context, alpha
 
 
-def decode_step(params: ModelParams, state: DecoderState, memory: Memory,
+def decode_step(dec: DecoderParams, state: DecoderState, memory: Memory,
                 prev_ids: np.ndarray | None = None, prev_dist: Tensor | None = None,
-                train: bool = False, rng: np.random.Generator | None = None,
-                dec: DecoderParams | None = None,
-                E: Tensor | None = None) -> tuple[Tensor, DecoderState]:
+                train: bool = False,
+                rng: np.random.Generator | None = None) -> tuple[Tensor, DecoderState]:
     """One decoder step: returns next-token logits and the new state.
 
     prev_ids feeds a hard token; prev_dist feeds a soft distribution whose
@@ -275,22 +267,19 @@ def decode_step(params: ModelParams, state: DecoderState, memory: Memory,
     """
     if state is None:
         raise ValueError("decoder state is uninitialized")
-    dec = dec or params.dec
-    E = E if E is not None else params.E
-    p_drop = (params.config.dropout if train else 0.0)
+    p_drop = dec.dropout if train else 0.0
 
-    emb = _embed_step(E, prev_ids, prev_dist)
+    emb = _embed_step(dec.E, prev_ids, prev_dist)
     if p_drop:
         emb = ad.dropout(emb, p_drop, rng)
-    context, alpha = attend(dec, state.h, memory)
+    context, _ = attend(dec, state.h, memory)
     x = ad.concat([emb, context], axis=-1)
     h_new, c_new = dec.cell.step(x, state.h, state.cell)
     h_for_out = ad.dropout(h_new, p_drop, rng) if p_drop else h_new
     combined = ad.concat([h_for_out, context], axis=-1)
     out = ad.tanh(ad.add(ad.matmul(combined, dec.w_out), dec.b_out))
-    logits = ad.matmul_t(out, E)
-    new_state = DecoderState(h_new, c_new, context, alpha.data)
-    return logits, new_state
+    logits = ad.matmul_t(out, dec.E)
+    return logits, DecoderState(h_new, c_new)
 
 
 def length_caps(src_mask: np.ndarray, factor: int, offset: int) -> np.ndarray:
@@ -300,11 +289,10 @@ def length_caps(src_mask: np.ndarray, factor: int, offset: int) -> np.ndarray:
     return factor * np.maximum(content, 1) + offset
 
 
-def sequence_nll(params: ModelParams, memory: Memory, tgt_ids: np.ndarray,
+def sequence_nll(dec: DecoderParams, memory: Memory, tgt_ids: np.ndarray,
                  tgt_mask: np.ndarray, bos_id: int, train: bool = False,
                  rng: np.random.Generator | None = None,
-                 collect_states: bool = False,
-                 dec: DecoderParams | None = None, E: Tensor | None = None):
+                 collect_states: bool = False):
     """Teacher-forced NLL summed over unmasked target positions.
 
     Ground-truth tokens are fed at every step; the first input is BOS and the
@@ -314,14 +302,13 @@ def sequence_nll(params: ModelParams, memory: Memory, tgt_ids: np.ndarray,
     B, T = tgt_ids.shape
     if T == 0 or not tgt_mask.any():
         raise ValueError("empty target")
-    dec_p = dec or (params.dec if params is not None else None)
-    state = init_decoder_state(dec_p, memory)
+    state = init_decoder_state(dec, memory)
     prev = np.full(B, bos_id, dtype=np.int64)
     loss_sum: Tensor | None = None
     states: list[Tensor] = []
     for t in range(T):
-        logits, state = decode_step(params, state, memory, prev_ids=prev,
-                                    train=train, rng=rng, dec=dec, E=E)
+        logits, state = decode_step(dec, state, memory, prev_ids=prev,
+                                    train=train, rng=rng)
         nll = ad.cross_entropy(logits, tgt_ids[:, t])
         step_loss = ad.reduce_sum(ad.mul(nll, ad.constant(tgt_mask[:, t])))
         loss_sum = step_loss if loss_sum is None else ad.add(loss_sum, step_loss)
@@ -334,13 +321,11 @@ def sequence_nll(params: ModelParams, memory: Memory, tgt_ids: np.ndarray,
 
 def teacher_forced_nll(params: ModelParams, src_ids: np.ndarray, src_mask: np.ndarray,
                        tgt_ids: np.ndarray, tgt_mask: np.ndarray, bos_id: int,
-                       train: bool = False, rng: np.random.Generator | None = None,
-                       collect_states: bool = False):
+                       train: bool = False, rng: np.random.Generator | None = None):
     """Encode then score the target under teacher forcing; returns
-    (loss_sum, n_tokens, encoder_output, decoder_states)."""
+    (loss_sum, n_tokens)."""
     enc = encode(params, src_ids, src_mask, train=train, rng=rng)
-    memory = prepare_memory(params.dec, enc)
-    loss_sum, n_tokens, states = sequence_nll(
-        params, memory, tgt_ids, tgt_mask, bos_id, train=train, rng=rng,
-        collect_states=collect_states)
-    return loss_sum, n_tokens, enc, states
+    loss_sum, n_tokens, _ = sequence_nll(
+        params.dec, prepare_memory(params.dec, enc), tgt_ids, tgt_mask, bos_id,
+        train=train, rng=rng)
+    return loss_sum, n_tokens

@@ -145,7 +145,7 @@ def sample_translation(params: ModelParams, src_ids: np.ndarray, src_mask: np.nd
     prev_ids: np.ndarray | None = np.full(B, bos_id, dtype=np.int64)
     prev_dist: Tensor | None = None
     for t in range(int(caps.max())):
-        logits, state = decode_step(params, state, memory, prev_ids=prev_ids,
+        logits, state = decode_step(params.dec, state, memory, prev_ids=prev_ids,
                                     prev_dist=prev_dist, train=train, rng=rng)
         g = noise.draw(logits.shape)
         st, soft = stgs_combine(logits, g, cfg.tau, soft_forward=soft_forward)

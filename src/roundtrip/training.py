@@ -21,7 +21,7 @@ from . import checkpoint as ckpt_io
 from .autodiff import Tape, Tensor
 from .config import RunConfig
 from .data import Batch, ParallelPair, Vocab, build_bidirectional_corpus, make_batches
-from .model import (DecoderParams, EncoderOutput, ModelParams, encode,
+from .model import (DecoderParams, EncoderOutput, ModelParams, _xavier, encode,
                     prepare_memory, sequence_nll)
 from .sampling import GumbelNoiseSource, STGSConfig, sample_translation
 
@@ -54,7 +54,7 @@ def translation_loss(params: ModelParams, batch: Batch, bos_id: int,
     enc = encode(params, batch.src_ids, batch.src_mask, train=train, rng=rng)
     memory = prepare_memory(params.dec, enc)
     loss_sum, n_tokens, states = sequence_nll(
-        params, memory, batch.tgt_ids, batch.tgt_mask, bos_id,
+        params.dec, memory, batch.tgt_ids, batch.tgt_mask, bos_id,
         train=train, rng=rng, collect_states=collect_states)
     loss = ad.scalar_mul(loss_sum, 1.0 / n_tokens) if reduction == "mean" else loss_sum
     return loss, float(loss_sum.data), n_tokens, enc, states
@@ -77,7 +77,7 @@ def reconstruction_loss(params: ModelParams, batch: Batch, noise: GumbelNoiseSou
                  train=train, rng=rng)
     memory = prepare_memory(params.dec, enc)
     loss_sum, n_tokens, _ = sequence_nll(
-        params, memory, batch.src_ids, batch.src_mask, bos_id,
+        params.dec, memory, batch.src_ids, batch.src_mask, bos_id,
         train=train, rng=rng)
     loss = ad.scalar_mul(loss_sum, 1.0 / n_tokens) if reduction == "mean" else loss_sum
     return loss, float(loss_sum.data), n_tokens, sampled
@@ -91,23 +91,15 @@ class HiddenReconstructorParams:
     """
 
     def __init__(self, config, rng: np.random.Generator):
-        from .model import _xavier
-
-        self.E_enc = Tensor(_xavier(rng, config.vocab_size, config.d_emb),
-                            requires_grad=True)
-        self.dec_enc = DecoderParams(rng, config.d_emb, config.d_hidden,
-                                     config.d_attention, 2 * config.d_hidden,
-                                     config.layer_norm)
-        self.E_dec = Tensor(_xavier(rng, config.vocab_size, config.d_emb),
-                            requires_grad=True)
-        self.dec_dec = DecoderParams(rng, config.d_emb, config.d_hidden,
-                                     config.d_attention, config.d_hidden,
-                                     config.layer_norm)
+        E_enc = Tensor(_xavier(rng, config.vocab_size, config.d_emb), requires_grad=True)
+        self.dec_enc = DecoderParams(rng, config, E_enc, 2 * config.d_hidden)
+        E_dec = Tensor(_xavier(rng, config.vocab_size, config.d_emb), requires_grad=True)
+        self.dec_dec = DecoderParams(rng, config, E_dec, config.d_hidden)
 
     def named_parameters(self):
-        out = [("aux_enc.E", self.E_enc)]
+        out = [("aux_enc.E", self.dec_enc.E)]
         out.extend(self.dec_enc.named("aux_enc.dec"))
-        out.append(("aux_dec.E", self.E_dec))
+        out.append(("aux_dec.E", self.dec_dec.E))
         out.extend(self.dec_dec.named("aux_dec.dec"))
         return out
 
@@ -142,16 +134,16 @@ def hidden_reconstruction_loss(params: ModelParams, batch: Batch,
 
     mem_enc = prepare_memory(aux.dec_enc, enc)
     enc_sum_t, enc_tokens, _ = sequence_nll(
-        params, mem_enc, batch.src_ids, batch.src_mask, bos_id, train=train,
-        rng=rng, dec=aux.dec_enc, E=aux.E_enc)
+        aux.dec_enc, mem_enc, batch.src_ids, batch.src_mask, bos_id, train=train,
+        rng=rng)
 
     dec_ann = ad.stack(dec_states, axis=1)
     dec_summary = _masked_mean_states(dec_states, batch.tgt_mask)
     enc_like = EncoderOutput(dec_ann, batch.tgt_mask, dec_summary)
     mem_dec = prepare_memory(aux.dec_dec, enc_like)
     dec_sum_t, _, _ = sequence_nll(
-        params, mem_dec, batch.src_ids, batch.src_mask, bos_id, train=train,
-        rng=rng, dec=aux.dec_dec, E=aux.E_dec)
+        aux.dec_dec, mem_dec, batch.src_ids, batch.src_mask, bos_id, train=train,
+        rng=rng)
 
     # both reconstructors score the same source tokens, so the weighted sum
     # is normalized by that count once
@@ -314,6 +306,9 @@ class Trainer:
                                              patience_stop=cfg.patience_stop)
         self.update = 0
         self.metrics_path = os.path.join(out_dir, "metrics.csv")
+        # (epoch, its batches), so that a run resumed or cut into chunks
+        # within an epoch does not batch the corpus again
+        self._epoch_cache: tuple[int, list[Batch]] | None = None
 
     def _make_optimizer(self) -> Adam:
         """Adam over the model and, in hidden mode, the reconstructors, which
@@ -439,8 +434,11 @@ class Trainer:
     # -- main loop ------------------------------------------------------------
 
     def _epoch_batches(self, epoch: int) -> list[Batch]:
-        return make_batches(self.train_corpus, self.vocab, self.cfg.batch_size,
-                            seed=hash((self.cfg.seed, _STREAM_EPOCH, epoch)) & 0x7FFFFFFF)
+        if self._epoch_cache is None or self._epoch_cache[0] != epoch:
+            seed = hash((self.cfg.seed, _STREAM_EPOCH, epoch)) & 0x7FFFFFFF
+            self._epoch_cache = (epoch, make_batches(self.train_corpus, self.vocab,
+                                                     self.cfg.batch_size, seed=seed))
+        return self._epoch_cache[1]
 
     def num_trainable_params(self) -> int:
         return sum(p.size for _, p in self.optimizer.named_params)

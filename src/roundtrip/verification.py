@@ -137,7 +137,7 @@ def decode_step_check(seed: int = 0) -> ComponentReport:
         enc = encode(params, src_ids, src_mask)
         memory = prepare_memory(params.dec, enc)
         state = init_decoder_state(params.dec, memory)
-        logits, _ = decode_step(params, state, memory, prev_ids=prev)
+        logits, _ = decode_step(params.dec, state, memory, prev_ids=prev)
         return ad.reduce_sum(ad.mul(logits, fixed))
 
     err = check_over_params(build_loss, params.named_parameters())

@@ -50,7 +50,7 @@ def beam_decode(params: ModelParams, src_ids: np.ndarray, src_mask: np.ndarray,
         candidates: list[tuple[float, int, _Hypothesis, object]] = []
         for hyp in live:
             prev = np.array([hyp.ids[-1] if hyp.ids else bos_id], dtype=np.int64)
-            logits, new_state = decode_step(params, hyp.state, memory, prev_ids=prev)
+            logits, new_state = decode_step(params.dec, hyp.state, memory, prev_ids=prev)
             row = logits.data[0]
             row = row - row.max()
             logp = row - math.log(np.exp(row).sum())

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior and config round-trips."""
 
 import os
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from roundtrip import autodiff as ad
 from roundtrip import checkpoint as ckpt_io
 from roundtrip.cli import main
-from roundtrip.config import RunConfig, parse_config, serialize_config
+from roundtrip.config import RunConfig, load_config, parse_config, serialize_config
 from roundtrip.synth import generate_corpus, translate_tokens
 
 
@@ -90,9 +92,11 @@ class TestTrainCommands:
         assert "l1-l2" in body and "l2-l1" in body
 
     def test_train_then_finetune(self, tmp_path, corpus_dir):
-        cfg_path = write_config(tmp_path, corpus_dir)
+        # pretraining runs without reconstruction whatever the config says
+        cfg_path = write_config(tmp_path, corpus_dir, recon_mode="sampled")
         out = str(tmp_path / "pre")
         assert run_cli("train", "--config", cfg_path, "--out-dir", out) == 0
+        assert "recon_mode=none\n" in open(os.path.join(out, "config.txt")).read()
         ckpts = sorted(f for f in os.listdir(out) if f.startswith("checkpoint")
                        and not f.endswith("trainer.npz"))
         assert len(ckpts) == 2
@@ -204,6 +208,15 @@ class TestTranslate:
         ckpt_io.save(ckpt, params, vocab, "fp32")
         inp = tmp_path / "input.txt"
         inp.write_text("w01 w02\n")
+        assert run_cli("translate", "--checkpoint", ckpt, "--input", str(inp),
+                       "--output", str(tmp_path / "o")) == 1
+
+    def test_reserved_token_is_not_a_language_tag(self, tmp_path, copy_model):
+        params, vocab, _ = copy_model
+        ckpt = str(tmp_path / "model.npz")
+        ckpt_io.save(ckpt, params, vocab, "fp32")
+        inp = tmp_path / "input.txt"
+        inp.write_text("<eos> w01 w02\n")
         assert run_cli("translate", "--checkpoint", ckpt, "--input", str(inp),
                        "--output", str(tmp_path / "o")) == 1
 
@@ -327,6 +340,21 @@ class TestConfig:
             RunConfig(recon_mode="both")
         with pytest.raises(ValueError):
             RunConfig(reduction="median")
+
+    def test_overrides_are_validated(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("batch_size=12\n")
+        cfg = load_config(str(path), seed=4, max_updates=None)
+        assert (cfg.batch_size, cfg.seed, cfg.max_updates) == (12, 4, 0)
+        with pytest.raises(ValueError, match="recon_mode"):
+            load_config(str(path), recon_mode="bogus")
+
+    def test_readme_lists_every_config_key(self):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        text = open(readme, encoding="utf-8").read()
+        section = text.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(r"`([a-z_][a-z0-9_]*)`", section))
+        assert named == {f.name for f in fields(RunConfig)}
 
 
 def test_usage_error_exits_one():

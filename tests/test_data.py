@@ -86,15 +86,14 @@ class TestVocab:
         toks = ["<en>", "hello", "world", "hello"]
         assert v.decode(v.encode(toks)) == toks
 
-    def test_reserved_ids_distinct_and_stable(self, tmp_path):
+    def test_reserved_ids_distinct_and_stable(self):
         v = Vocab(["<en>", "<sw>", "tok"])
         assert len({v.pad, v.bos, v.eos, v.unk}) == 4
-        path = str(tmp_path / "vocab.txt")
-        v.save(path)
-        loaded = Vocab.load(path)
-        assert loaded.id_to_token == v.id_to_token
-        assert (loaded.pad, loaded.bos, loaded.eos, loaded.unk) == (
-            v.pad, v.bos, v.eos, v.unk)
+        assert (v.pad, v.bos, v.eos, v.unk) == (0, 1, 2, 3)
+
+    def test_language_tags_exclude_reserved_tokens(self):
+        v = Vocab(["<en>", "<sw>", "tok"])
+        assert v.language_tags == ["<en>", "<sw>"]
 
     def test_oov_maps_to_unk(self):
         v = Vocab(["<en>", "<sw>", "tok"])

@@ -22,7 +22,7 @@ from conftest import toy_task
 def normalized_logprob(params, batch, hyp_ids, bos_id) -> float:
     """Teacher-forced log-probability of a hypothesis per token."""
     tgt_ids = np.array([hyp_ids])
-    loss_sum, n_tokens, _, _ = teacher_forced_nll(
+    loss_sum, n_tokens = teacher_forced_nll(
         params, batch.src_ids, batch.src_mask, tgt_ids, np.ones(tgt_ids.shape), bos_id)
     return -float(loss_sum.data) / n_tokens
 

@@ -7,7 +7,7 @@ from roundtrip import autodiff as ad
 from roundtrip import checkpoint as ckpt_io
 from roundtrip.autodiff import Tape, backward
 from roundtrip.data import Vocab
-from roundtrip.model import (ModelConfig, ModelParams, decode_step, encode,
+from roundtrip.model import (ModelConfig, ModelParams, attend, decode_step, encode,
                              init_decoder_state, prepare_memory,
                              teacher_forced_nll)
 from roundtrip.training import Adam, translation_loss
@@ -73,9 +73,9 @@ class TestEncode:
         enc = encode(params, src_ids, src_mask)
         memory = prepare_memory(params.dec, enc)
         state = init_decoder_state(params.dec, memory)
-        _, state = decode_step(params, state, memory, prev_ids=np.array([1, 1]))
-        assert np.all(state.att_weights[1, 3:] == 0.0)
-        np.testing.assert_allclose(state.att_weights.sum(axis=-1), 1.0, atol=1e-9)
+        _, alpha = attend(params.dec, state.h, memory)
+        assert np.all(alpha.data[1, 3:] == 0.0)
+        np.testing.assert_allclose(alpha.data.sum(axis=-1), 1.0, atol=1e-9)
 
 
 class TestDecodeStep:
@@ -84,7 +84,7 @@ class TestDecodeStep:
         src_ids, src_mask, _, _ = toy_batch()
         memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
         state = init_decoder_state(params.dec, memory)
-        logits, _ = decode_step(params, state, memory, prev_ids=np.array([1, 1]))
+        logits, _ = decode_step(params.dec, state, memory, prev_ids=np.array([1, 1]))
         assert logits.shape == (2, 9)
 
     def test_soft_onehot_equals_hard_exactly(self, fp64):
@@ -92,12 +92,12 @@ class TestDecodeStep:
         src_ids, src_mask, _, _ = toy_batch()
         memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
         state = init_decoder_state(params.dec, memory)
-        hard, _ = decode_step(params, state, memory, prev_ids=np.array([6, 7]))
+        hard, _ = decode_step(params.dec, state, memory, prev_ids=np.array([6, 7]))
         onehots = np.zeros((2, 9))
         onehots[0, 6] = 1.0
         onehots[1, 7] = 1.0
         state2 = init_decoder_state(params.dec, memory)
-        soft, _ = decode_step(params, state2, memory, prev_dist=ad.constant(onehots))
+        soft, _ = decode_step(params.dec, state2, memory, prev_dist=ad.constant(onehots))
         assert np.array_equal(hard.data, soft.data)
 
     def test_attention_weights_sum_to_one(self, fp64):
@@ -105,22 +105,22 @@ class TestDecodeStep:
         src_ids, src_mask, _, _ = toy_batch()
         memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
         state = init_decoder_state(params.dec, memory)
-        _, state = decode_step(params, state, memory, prev_ids=np.array([1, 1]))
-        np.testing.assert_allclose(state.att_weights.sum(axis=-1), 1.0, atol=1e-9)
+        _, alpha = attend(params.dec, state.h, memory)
+        np.testing.assert_allclose(alpha.data.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_uninitialized_state_errors(self, fp64):
         params = tiny_params()
         src_ids, src_mask, _, _ = toy_batch()
         memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
         with pytest.raises(ValueError):
-            decode_step(params, None, memory, prev_ids=np.array([1, 1]))
+            decode_step(params.dec, None, memory, prev_ids=np.array([1, 1]))
 
     def test_probabilities_normalize(self, fp64):
         params = tiny_params()
         src_ids, src_mask, _, _ = toy_batch()
         memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
         state = init_decoder_state(params.dec, memory)
-        logits, _ = decode_step(params, state, memory, prev_ids=np.array([1, 1]))
+        logits, _ = decode_step(params.dec, state, memory, prev_ids=np.array([1, 1]))
         p = ad.stable_softmax(logits).data
         np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -136,7 +136,7 @@ class TestTeacherForcedNll:
         params = tiny_params(vocab_size=9)
         params.E.data[:] = 0.0  # logits identically zero -> uniform output
         src_ids, src_mask, tgt_ids, tgt_mask = toy_batch()
-        loss, n, _, _ = teacher_forced_nll(params, src_ids, src_mask, tgt_ids,
+        loss, n = teacher_forced_nll(params, src_ids, src_mask, tgt_ids,
                                            tgt_mask, bos_id=1)
         expected = tgt_mask.sum() * np.log(9.0)
         assert float(loss.data) == pytest.approx(expected, abs=1e-6)
@@ -185,7 +185,7 @@ class TestTeacherForcedNll:
 class TestWeightTying:
     def test_projection_and_embedding_share_storage(self):
         params = tiny_params()
-        assert params.output_projection is params.E
+        assert params.dec.E is params.E
 
     def test_rows_identical_after_optimizer_step(self, fp64):
         params = tiny_params(seed=7)
@@ -196,7 +196,7 @@ class TestWeightTying:
                                           tgt_mask, bos_id=1)
             backward(tape, loss)
         opt.step(lr=0.001)
-        assert np.array_equal(params.output_projection.data, params.E.data)
+        assert np.array_equal(params.dec.E.data, params.E.data)
 
     def test_embedding_gradient_includes_both_paths(self, fp64):
         # gradient into E must include output-projection terms at rows that

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from roundtrip import autodiff as ad
+from roundtrip import training
 from roundtrip.autodiff import Tensor
 from roundtrip.config import RunConfig
 from roundtrip.data import Batch, make_batch
@@ -191,9 +192,9 @@ class TestObjectives:
         enc_only, enc_sum, n_tokens, *_ = hidden_reconstruction_loss(
             params, batch, aux, bos_id=1, w_enc=1.0, w_dec=0.0, reduction="mean")
         enc_nll, _, _ = sequence_nll(
-            params, prepare_memory(aux.dec_enc, encode(params, batch.src_ids,
-                                                       batch.src_mask)),
-            batch.src_ids, batch.src_mask, 1, dec=aux.dec_enc, E=aux.E_enc)
+            aux.dec_enc, prepare_memory(aux.dec_enc, encode(params, batch.src_ids,
+                                                            batch.src_mask)),
+            batch.src_ids, batch.src_mask, 1)
         assert n_tokens == n_src
         assert enc_sum == pytest.approx(float(enc_nll.data), rel=1e-12)
         assert float(enc_only.data) == pytest.approx(float(enc_nll.data) / n_src,
@@ -371,6 +372,33 @@ class TestTrainerLoop:
         tail_a = [l for u, l in losses_a if u >= 10]
         tail_b = [l for u, l in losses_b]
         assert tail_b == tail_a
+
+    def test_chunked_runs_batch_each_epoch_once(self, tmp_path, monkeypatch):
+        # 120 pairs in batches of 16 are 8 batches an epoch: 20 updates span
+        # 3 epochs, and runs of 5 updates end inside them
+        calls = []
+        original = training.make_batches
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(training, "make_batches", counting)
+        kwargs = dict(batch_size=16, checkpoint_interval=5, max_updates=20)
+        whole, _, _ = self._make(tmp_path / "whole", **kwargs)
+        expected = whole.run().metrics
+        assert len(calls) == 3
+        chunked, _, _ = self._make(tmp_path / "chunked", **kwargs)
+        metrics = []
+        for cap in (5, 10, 15, 20):
+            metrics += chunked.run(max_updates=cap).metrics
+        assert len(calls) == 6
+
+        def without_index(rows):
+            # a row's checkpoint index counts within its own run() call
+            return [{k: v for k, v in r.items() if k != "checkpoint"} for r in rows]
+
+        assert without_index(metrics) == without_index(expected)
 
     def test_identical_seeds_reproduce_metrics(self, tmp_path):
         t1, _, _ = self._make(tmp_path / "a")
