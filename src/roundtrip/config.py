@@ -35,7 +35,6 @@ class RunConfig:
     checkpoint_interval: int = 1000
     max_updates: int = 0
     grad_clip_norm: float = 0.0
-    reduction: str = "mean"
     seed: int = 1
     # reconstruction
     recon_mode: str = "none"
@@ -53,8 +52,6 @@ class RunConfig:
     def __post_init__(self):
         if self.precision not in ("fp32", "fp64"):
             raise ValueError(f"precision must be fp32 or fp64, got {self.precision!r}")
-        if self.reduction not in ("mean", "sum"):
-            raise ValueError(f"reduction must be mean or sum, got {self.reduction!r}")
         if self.recon_mode not in ("none", "sampled", "hidden"):
             raise ValueError(f"unknown recon_mode {self.recon_mode!r}")
 

@@ -143,12 +143,9 @@ class Batch:
         return int(self.tgt_mask.sum())
 
 
-def encode_source(vocab: Vocab, sent: TaggedSentence) -> list[int]:
-    return vocab.encode(sent.tagged()) + [vocab.eos]
-
-
-def encode_target(vocab: Vocab, sent: TaggedSentence) -> list[int]:
-    # decoder must predict the tag first and EOS last
+def encode_sentence(vocab: Vocab, sent: TaggedSentence) -> list[int]:
+    """Tag, tokens, EOS: a source as the encoder reads it, and a target as the
+    decoder predicts it, the tag first and EOS last."""
     return vocab.encode(sent.tagged()) + [vocab.eos]
 
 
@@ -163,8 +160,8 @@ def _pad(rows: list[list[int]], pad_id: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def make_batch(vocab: Vocab, pairs: Sequence[ParallelPair]) -> Batch:
-    src = [encode_source(vocab, p.source) for p in pairs]
-    tgt = [encode_target(vocab, p.target) for p in pairs]
+    src = [encode_sentence(vocab, p.source) for p in pairs]
+    tgt = [encode_sentence(vocab, p.target) for p in pairs]
     src_ids, src_mask = _pad(src, vocab.pad)
     tgt_ids, tgt_mask = _pad(tgt, vocab.pad)
     return Batch(src_ids, src_mask, tgt_ids, tgt_mask)

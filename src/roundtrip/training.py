@@ -10,7 +10,6 @@ encoder / decoder hidden states instead.
 from __future__ import annotations
 
 import csv
-import json
 import os
 from dataclasses import dataclass
 
@@ -18,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint as ckpt_io
+from . import evaluation
 from .autodiff import Tape, Tensor
 from .config import RunConfig
 from .data import Batch, ParallelPair, Vocab, build_bidirectional_corpus, make_batches
@@ -44,11 +44,10 @@ class PhaseError(RuntimeError):
 
 
 def translation_loss(params: ModelParams, batch: Batch, bos_id: int,
-                     reduction: str = "mean", train: bool = False,
-                     rng: np.random.Generator | None = None,
+                     train: bool = False, rng: np.random.Generator | None = None,
                      collect_states: bool = False):
     """Teacher-forced NLL over the batch; returns (loss, sum_nats, n_tokens,
-    enc, states); `loss` carries the configured reduction."""
+    enc, states); `loss` is the NLL per target token."""
     if batch.size == 0:
         raise ValueError("empty batch")
     enc = encode(params, batch.src_ids, batch.src_mask, train=train, rng=rng)
@@ -56,17 +55,17 @@ def translation_loss(params: ModelParams, batch: Batch, bos_id: int,
     loss_sum, n_tokens, states = sequence_nll(
         params.dec, memory, batch.tgt_ids, batch.tgt_mask, bos_id,
         train=train, rng=rng, collect_states=collect_states)
-    loss = ad.scalar_mul(loss_sum, 1.0 / n_tokens) if reduction == "mean" else loss_sum
+    loss = ad.scalar_mul(loss_sum, 1.0 / n_tokens)
     return loss, float(loss_sum.data), n_tokens, enc, states
 
 
 def reconstruction_loss(params: ModelParams, batch: Batch, noise: GumbelNoiseSource,
                         stgs: STGSConfig, bos_id: int, eos_id: int, phase: str,
-                        reduction: str = "mean", train: bool = False,
-                        rng: np.random.Generator | None = None,
+                        train: bool = False, rng: np.random.Generator | None = None,
                         soft_forward: bool = False, stop_on_eos: bool = True):
     """Round-trip term: sample a translation of each source, then score the
-    original source as the target of a teacher-forced pass over the sample."""
+    original source as the target of a teacher-forced pass over the sample;
+    the loss is the NLL per source token."""
     if phase != "finetune":
         raise PhaseError("reconstruction requires a pre-trained model "
                          "(fine-tune phase); got phase=" + phase)
@@ -79,7 +78,7 @@ def reconstruction_loss(params: ModelParams, batch: Batch, noise: GumbelNoiseSou
     loss_sum, n_tokens, _ = sequence_nll(
         params.dec, memory, batch.src_ids, batch.src_mask, bos_id,
         train=train, rng=rng)
-    loss = ad.scalar_mul(loss_sum, 1.0 / n_tokens) if reduction == "mean" else loss_sum
+    loss = ad.scalar_mul(loss_sum, 1.0 / n_tokens)
     return loss, float(loss_sum.data), n_tokens, sampled
 
 
@@ -116,10 +115,10 @@ def _masked_mean_states(states: list[Tensor], mask: np.ndarray) -> Tensor:
 def hidden_reconstruction_loss(params: ModelParams, batch: Batch,
                                aux: HiddenReconstructorParams, bos_id: int,
                                w_enc: float = 0.5, w_dec: float = 0.5,
-                               reduction: str = "mean", train: bool = False,
+                               train: bool = False,
                                rng: np.random.Generator | None = None):
     """Weighted hidden-state reconstruction: w_enc * L_enc + w_dec * L_dec,
-    where each L is a reconstructor's NLL per source token under `reduction`.
+    where each L is a reconstructor's NLL per source token.
 
     Both reconstructors are attentional decoders over a hidden-state memory
     (encoder annotations / decoder states of the translation pass) and are
@@ -129,8 +128,7 @@ def hidden_reconstruction_loss(params: ModelParams, batch: Batch,
     if aux.dec_enc.d_ann != 2 * params.config.d_hidden:
         raise ValueError("encoder-side reconstructor width mismatch")
     t_loss, t_sum, t_tokens, enc, dec_states = translation_loss(
-        params, batch, bos_id, reduction=reduction, train=train, rng=rng,
-        collect_states=True)
+        params, batch, bos_id, train=train, rng=rng, collect_states=True)
 
     mem_enc = prepare_memory(aux.dec_enc, enc)
     enc_sum_t, enc_tokens, _ = sequence_nll(
@@ -149,7 +147,7 @@ def hidden_reconstruction_loss(params: ModelParams, batch: Batch,
     # is normalized by that count once
     weighted = ad.add(ad.scalar_mul(enc_sum_t, w_enc), ad.scalar_mul(dec_sum_t, w_dec))
     n_tokens = enc_tokens
-    recon = ad.scalar_mul(weighted, 1.0 / n_tokens) if reduction == "mean" else weighted
+    recon = ad.scalar_mul(weighted, 1.0 / n_tokens)
     recon_sum = w_enc * float(enc_sum_t.data) + w_dec * float(dec_sum_t.data)
     return recon, recon_sum, n_tokens, t_loss, t_sum, t_tokens
 
@@ -247,6 +245,16 @@ class LrScheduler:
         self.should_stop = d["should_stop"]
 
 
+def _append_rows(path: str, header, rows) -> None:
+    """Append CSV rows, the header first when the file is new."""
+    new = not os.path.exists(path)
+    with open(path, "a", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        if new:
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
 @dataclass
 class TrainResult:
     checkpoints: list[str]
@@ -305,6 +313,7 @@ class Trainer:
             self.aux_scheduler = LrScheduler(cfg.lr, cfg.lr_decay, patience_decay=1,
                                              patience_stop=cfg.patience_stop)
         self.update = 0
+        self.n_checkpoints = 0  # the checkpoint column of metrics.csv
         self.metrics_path = os.path.join(out_dir, "metrics.csv")
         # (epoch, its batches), so that a run resumed or cut into chunks
         # within an epoch does not batch the corpus again
@@ -326,29 +335,22 @@ class Trainer:
         drop_rng = np.random.default_rng([cfg.seed, _STREAM_DROPOUT, update])
         bos = self.vocab.bos
 
-        if self.phase == "pretrain" or cfg.recon_mode == "none":
+        if cfg.recon_mode == "hidden":
+            l_r, r_sum, r_tokens, l_t, t_sum, t_tokens = hidden_reconstruction_loss(
+                self.params, batch, self.aux, bos, w_enc=cfg.hidden_weight_enc,
+                w_dec=cfg.hidden_weight_dec, train=train, rng=drop_rng)
+        else:
             l_t, t_sum, t_tokens, _, _ = translation_loss(
-                self.params, batch, bos, reduction=cfg.reduction,
-                train=train, rng=drop_rng)
-            breakdown = LossBreakdown(float(l_t.data), 0.0, float(l_t.data) + 0.0)
-            return l_t, breakdown, (t_sum, t_tokens, 0.0, 0.0)
-
-        if cfg.recon_mode == "sampled":
-            l_t, t_sum, t_tokens, _, _ = translation_loss(
-                self.params, batch, bos, reduction=cfg.reduction,
-                train=train, rng=drop_rng)
+                self.params, batch, bos, train=train, rng=drop_rng)
+            if cfg.recon_mode == "none":  # the only mode of the pretrain phase
+                breakdown = LossBreakdown(float(l_t.data), 0.0, float(l_t.data) + 0.0)
+                return l_t, breakdown, (t_sum, t_tokens, 0.0, 0.0)
             noise = GumbelNoiseSource(cfg.beta, (cfg.seed, _STREAM_GUMBEL, update))
             stgs = STGSConfig(cfg.tau, cfg.max_len_factor, cfg.max_len_offset)
             recon_train = train and cfg.recon_dropout
             l_r, r_sum, r_tokens, _ = reconstruction_loss(
                 self.params, batch, noise, stgs, bos, self.vocab.eos,
-                phase=self.phase, reduction=cfg.reduction,
-                train=recon_train, rng=drop_rng)
-        else:  # hidden
-            l_r, r_sum, r_tokens, l_t, t_sum, t_tokens = hidden_reconstruction_loss(
-                self.params, batch, self.aux, bos, w_enc=cfg.hidden_weight_enc,
-                w_dec=cfg.hidden_weight_dec, reduction=cfg.reduction,
-                train=train, rng=drop_rng)
+                phase=self.phase, train=recon_train, rng=drop_rng)
 
         combined = ad.add(l_t, l_r)
         # the breakdown decomposes exactly by construction; the objective
@@ -360,156 +362,132 @@ class Trainer:
     # -- evaluation ---------------------------------------------------------
 
     def dev_perplexity(self) -> float:
-        from .evaluation import perplexity
-
-        return perplexity(self.params, self.dev_corpus, self.vocab,
-                          batch_size=self.cfg.batch_size)
+        return evaluation.perplexity(self.params, self.dev_corpus, self.vocab,
+                                     batch_size=self.cfg.batch_size)
 
     def _log_dev_bleu(self) -> None:
         """Greedy dev BLEU per direction, appended to bleu.csv; the report
         command pairs the final row per (direction, seed) across run dirs."""
-        from .evaluation import DecodeConfig, evaluate_bleu
-
         rows = []
         for name, pairs in ((f"{self.cfg.src_lang}-{self.cfg.tgt_lang}",
                              self.dev_pairs),
                             (f"{self.cfg.tgt_lang}-{self.cfg.src_lang}",
                              [p.swapped() for p in self.dev_pairs])):
-            rows.append((name, evaluate_bleu(self.params, self.vocab, pairs,
-                                             DecodeConfig())))
-        path = os.path.join(self.out_dir, "bleu.csv")
-        new = not os.path.exists(path)
-        with open(path, "a", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            if new:
-                writer.writerow(["direction", "seed", "update", "bleu"])
-            for name, bleu in rows:
-                writer.writerow([name, self.cfg.seed, self.update, f"{bleu:.4f}"])
+            bleu = evaluation.evaluate_bleu(self.params, self.vocab, pairs,
+                                            evaluation.DecodeConfig())
+            rows.append([name, self.cfg.seed, self.update, f"{bleu:.4f}"])
+        _append_rows(os.path.join(self.out_dir, "bleu.csv"),
+                     ["direction", "seed", "update", "bleu"], rows)
 
     # -- persistence ----------------------------------------------------------
 
-    def _save_checkpoint(self, tag: str) -> str:
-        path = os.path.join(self.out_dir, f"checkpoint-{tag}.npz")
+    def _save_checkpoint(self) -> str:
+        """The model and the trainer's state in one file: counters and schedules
+        in the meta, Adam's moments and the reconstructors' weights as arrays."""
+        path = os.path.join(self.out_dir, f"checkpoint-{self.update:07d}.npz")
         meta = {"phase": self.phase, "update": self.update, "seed": self.cfg.seed,
-                "recon_mode": self.cfg.recon_mode}
-        ckpt_io.save(path, self.params, self.vocab, self.cfg.precision, meta=meta)
-        state = {"scheduler": self.scheduler.state(), "update": self.update,
-                 "phase": self.phase}
-        if self.aux_scheduler is not None:
-            state["aux_scheduler"] = self.aux_scheduler.state()
-        arrays = self.optimizer.state_arrays()
+                "recon_mode": self.cfg.recon_mode, "checkpoint": self.n_checkpoints,
+                "scheduler": self.scheduler.state()}
+        state = self.optimizer.state_arrays()
         if self.aux is not None:
-            for name, t in self.aux.named_parameters():
-                arrays[f"auxparam/{name}"] = t.data
-        np.savez(path.replace(".npz", ".trainer.npz"),
-                 __state__=np.array(json.dumps(state)), **arrays)
+            meta["aux_scheduler"] = self.aux_scheduler.state()
+            state.update((name, t.data) for name, t in self.aux.named_parameters())
+        ckpt_io.save(path, self.params, self.vocab, self.cfg.precision, meta=meta,
+                     state=state)
         return path
 
     def restore(self, ckpt_path: str) -> None:
-        """Resume mid-phase: restores params, optimizer moments and schedule."""
+        """Resume mid-phase from a checkpoint of this phase and recon_mode: the
+        model, reconstructors, optimizer moments, schedules and counters."""
         expect = ckpt_io.structural_hash(self.params.config, self.cfg.precision)
-        self.params, _, _ = ckpt_io.load(ckpt_path, expect_hash=expect)
-        with np.load(ckpt_path.replace(".npz", ".trainer.npz"),
-                     allow_pickle=False) as data:
-            state = json.loads(str(data["__state__"]))
-            if self.aux is not None:
-                for name, t in self.aux.named_parameters():
-                    t.data = np.array(data[f"auxparam/{name}"],
-                                      dtype=ad.default_dtype())
-            self.optimizer = self._make_optimizer()
-            self.optimizer.load_state_arrays(data)
-        self.scheduler.load_state(state["scheduler"])
-        if self.aux_scheduler is not None:
-            self.aux_scheduler.load_state(state["aux_scheduler"])
-        self.update = state["update"]
-
-    def _append_metrics(self, row: dict) -> None:
-        new = not os.path.exists(self.metrics_path)
-        with open(self.metrics_path, "a", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=METRICS_COLUMNS)
-            if new:
-                writer.writeheader()
-            writer.writerow(row)
+        params, _, header = ckpt_io.load(ckpt_path, expect_hash=expect)
+        state, meta = ckpt_io.load_state(ckpt_path), header["meta"]
+        if (meta["phase"], meta["recon_mode"]) != (self.phase, self.cfg.recon_mode):
+            raise ValueError(
+                f"{ckpt_path} is a {meta['phase']} checkpoint with recon_mode="
+                f"{meta['recon_mode']}; this trainer runs {self.phase} with "
+                f"recon_mode={self.cfg.recon_mode}")
+        self.params = params
+        if self.aux is not None:
+            for name, t in self.aux.named_parameters():
+                t.data = np.array(state[name], dtype=ad.default_dtype())
+            self.aux_scheduler.load_state(meta["aux_scheduler"])
+        self.optimizer = self._make_optimizer()
+        self.optimizer.load_state_arrays(state)
+        self.scheduler.load_state(meta["scheduler"])
+        self.update = meta["update"]
+        self.n_checkpoints = meta["checkpoint"]
 
     # -- main loop ------------------------------------------------------------
 
-    def _epoch_batches(self, epoch: int) -> list[Batch]:
-        if self._epoch_cache is None or self._epoch_cache[0] != epoch:
-            seed = hash((self.cfg.seed, _STREAM_EPOCH, epoch)) & 0x7FFFFFFF
-            self._epoch_cache = (epoch, make_batches(self.train_corpus, self.vocab,
-                                                     self.cfg.batch_size, seed=seed))
-        return self._epoch_cache[1]
+    def _batch_stream(self):
+        """Training batches across epochs, each chosen when asked for from the
+        update reached: update u trains on batch u mod n of epoch u div n (n
+        batches an epoch), wherever runs and resumes cut the epochs."""
+        n = max(1, -(-len(self.train_corpus) // self.cfg.batch_size))
+        while True:
+            epoch, i = divmod(self.update, n)
+            if self._epoch_cache is None or self._epoch_cache[0] != epoch:
+                seed = hash((self.cfg.seed, _STREAM_EPOCH, epoch)) & 0x7FFFFFFF
+                self._epoch_cache = (epoch, make_batches(
+                    self.train_corpus, self.vocab, self.cfg.batch_size, seed=seed))
+            yield self._epoch_cache[1][i]
 
     def num_trainable_params(self) -> int:
         return sum(p.size for _, p in self.optimizer.named_params)
 
     def run(self, max_updates: int | None = None,
             on_checkpoint=None) -> TrainResult:
+        """Train on from the current update, with a checkpoint every
+        `checkpoint_interval` updates and at the cap (`max_updates`, else the
+        config's; 0 = none), up to the first at the cap or where the schedule stops."""
         cfg = self.cfg
         cap = max_updates if max_updates is not None else cfg.max_updates
         checkpoints: list[str] = []
         metrics: list[dict] = []
         best_path = ""
-        stopped = False
+        interval = [0.0] * 4  # t_sum, t_tokens, r_sum, r_tokens
+        for batch in self._batch_stream():
+            lr_in_effect = self.scheduler.lr
+            aux_lr = self.aux_scheduler.lr if self.aux_scheduler else None
+            with Tape() as tape:
+                objective, _, sums = self.compute_losses(batch, self.update, train=True)
+                ad.backward(tape, objective)
+            if cfg.grad_clip_norm > 0:
+                ad.clip_gradients([p for _, p in self.optimizer.named_params],
+                                  cfg.grad_clip_norm)
+            self.optimizer.step(lr_in_effect, aux_lr)
+            self.optimizer.zero_grad()
+            self.update += 1
+            interval = [total + x for total, x in zip(interval, sums)]
+            at_cap = cap and self.update >= cap
+            if self.update % cfg.checkpoint_interval and not at_cap:
+                continue
 
-        interval = {"t_sum": 0.0, "t_tok": 0.0, "r_sum": 0.0, "r_tok": 0.0}
-        batches_per_epoch = max(1, (len(self.train_corpus) + cfg.batch_size - 1)
-                                // cfg.batch_size)
-        while True:
-            epoch = self.update // batches_per_epoch
-            batches = self._epoch_batches(epoch)
-            start = self.update % batches_per_epoch
-            for batch in batches[start:]:
-                lr_in_effect = self.scheduler.lr
-                aux_lr = self.aux_scheduler.lr if self.aux_scheduler else None
-                with Tape() as tape:
-                    objective, breakdown, sums = self.compute_losses(
-                        batch, self.update, train=True)
-                    ad.backward(tape, objective)
-                if cfg.grad_clip_norm > 0:
-                    ad.clip_gradients([p for _, p in self.optimizer.named_params],
-                                      cfg.grad_clip_norm)
-                self.optimizer.step(lr_in_effect, aux_lr)
-                self.optimizer.zero_grad()
-                self.update += 1
-                t_sum, t_tok, r_sum, r_tok = sums
-                interval["t_sum"] += t_sum
-                interval["t_tok"] += t_tok
-                interval["r_sum"] += r_sum
-                interval["r_tok"] += r_tok
-
-                at_cap = cap and self.update >= cap
-                if self.update % cfg.checkpoint_interval == 0 or at_cap:
-                    n_ckpt = len(checkpoints) + 1
-                    dev_ppl = self.dev_perplexity()
-                    improved = self.scheduler.observe(dev_ppl)
-                    l_t_mean = interval["t_sum"] / max(interval["t_tok"], 1.0)
-                    l_r_mean = interval["r_sum"] / max(interval["r_tok"], 1.0)
-                    if self.aux_scheduler is not None:
-                        self.aux_scheduler.observe(l_r_mean)
-                    path = self._save_checkpoint(f"{self.update:07d}")
-                    checkpoints.append(path)
-                    row = {"phase": self.phase, "update": self.update,
-                           "checkpoint": n_ckpt, "lr": lr_in_effect,
-                           "train_ppl": float(np.exp(l_t_mean)),
-                           "dev_ppl": dev_ppl, "l_t": l_t_mean,
-                           "l_r": l_r_mean, "seed": cfg.seed}
-                    self._append_metrics(row)
-                    metrics.append(row)
-                    if cfg.eval_bleu:
-                        self._log_dev_bleu()
-                    if improved or not best_path:
-                        best_path = path
-                    if on_checkpoint is not None:
-                        on_checkpoint(self, row)
-                    interval = {"t_sum": 0.0, "t_tok": 0.0, "r_sum": 0.0, "r_tok": 0.0}
-                    if self.scheduler.should_stop:
-                        stopped = True
-                        break
-                if at_cap:
-                    break
-            if stopped or (cap and self.update >= cap):
+            self.n_checkpoints += 1
+            dev_ppl = self.dev_perplexity()
+            improved = self.scheduler.observe(dev_ppl)
+            l_t_mean = interval[0] / max(interval[1], 1.0)
+            l_r_mean = interval[2] / max(interval[3], 1.0)
+            if self.aux_scheduler is not None:
+                self.aux_scheduler.observe(l_r_mean)
+            path = self._save_checkpoint()
+            row = {"phase": self.phase, "update": self.update,
+                   "checkpoint": self.n_checkpoints, "lr": lr_in_effect,
+                   "train_ppl": float(np.exp(l_t_mean)), "dev_ppl": dev_ppl,
+                   "l_t": l_t_mean, "l_r": l_r_mean, "seed": cfg.seed}
+            _append_rows(self.metrics_path, METRICS_COLUMNS,
+                         [[row[c] for c in METRICS_COLUMNS]])
+            if cfg.eval_bleu:
+                self._log_dev_bleu()
+            checkpoints.append(path)
+            metrics.append(row)
+            if improved or not best_path:
+                best_path = path
+            if on_checkpoint is not None:
+                on_checkpoint(self, row)
+            interval = [0.0] * 4
+            if self.scheduler.should_stop or at_cap:
                 break
-        if not checkpoints:
-            raise RuntimeError("training ended before the first checkpoint")
-        return TrainResult(checkpoints, metrics, best_path, checkpoints[-1], stopped)
+        return TrainResult(checkpoints, metrics, best_path, checkpoints[-1],
+                           self.scheduler.should_stop)

@@ -199,7 +199,7 @@ def reconstructor_nll(trainer, corpus, batch_size=48):
             batch = make_batch(trainer.vocab, corpus[i: i + batch_size])
             _, recon_sum, n, *_ = hidden_reconstruction_loss(
                 trainer.params, batch, trainer.aux, trainer.vocab.bos,
-                w_enc=w_enc, w_dec=w_dec, reduction="sum")
+                w_enc=w_enc, w_dec=w_dec)
             total += recon_sum
             tokens += n
         out.append(total / tokens)

@@ -264,6 +264,35 @@ class TestDropout:
         assert np.array_equal(a, b)
 
 
+class TestClipGradients:
+    def _params(self, scale):
+        # two parameters with gradients, and one without
+        rng = np.random.default_rng(4)
+        grads = [scale * rng.standard_normal((3, 4)), scale * rng.standard_normal(5)]
+        params = [Tensor(np.zeros_like(g), requires_grad=True) for g in grads]
+        for p, g in zip(params, grads):
+            p.grad = g.copy()
+        return params + [Tensor(np.zeros(2), requires_grad=True)], grads
+
+    def test_clips_to_max_norm_in_the_same_direction(self, fp64):
+        params, grads = self._params(1.0)
+        before = float(np.sqrt(sum((g * g).sum() for g in grads)))
+        assert before > 0.5
+        norm = ad.clip_gradients(params, 0.5)
+        assert norm == pytest.approx(before, rel=1e-12)  # the norm before clipping
+        assert ad.global_norm([p.grad for p in params[:2]]) <= 0.5 * (1 + 1e-12)
+        ratios = np.concatenate([(p.grad / g).ravel() for p, g in zip(params, grads)])
+        np.testing.assert_allclose(ratios, 0.5 / before, rtol=1e-12)
+        assert params[2].grad is None
+
+    def test_norm_below_max_leaves_gradients_unchanged(self, fp64):
+        params, grads = self._params(0.01)
+        before = float(np.sqrt(sum((g * g).sum() for g in grads)))
+        assert ad.clip_gradients(params, 1.0) == pytest.approx(before, rel=1e-12)
+        for p, g in zip(params, grads):
+            assert np.array_equal(p.grad, g)
+
+
 class TestCrossEntropy:
     def test_uniform_logits_give_log_v(self, fp64):
         out = ad.cross_entropy(Tensor(np.zeros((3, 8))), np.array([0, 5, 7]))

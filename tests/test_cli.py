@@ -91,14 +91,28 @@ class TestTrainCommands:
         body = open(os.path.join(out, "bleu.csv")).read()
         assert "l1-l2" in body and "l2-l1" in body
 
+    def test_readme_names_every_file_training_writes(self, tmp_path, corpus_dir):
+        # with dev BLEU and BPE on, training writes each file the README's
+        # list names, one per checkpoint, and nothing else
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        text = open(readme, encoding="utf-8").read()
+        section = text.split("## Files written by training", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(r"^- `([^`]+)`", section, flags=re.M))
+        cfg_path = write_config(tmp_path, corpus_dir, eval_bleu=True, bpe_merges=20)
+        out = str(tmp_path / "run")
+        assert run_cli("train", "--config", cfg_path, "--out-dir", out) == 0
+        written = sorted(os.listdir(out))
+        assert [f for f in written if f.startswith("checkpoint")] == [
+            "checkpoint-0000010.npz", "checkpoint-0000020.npz"]
+        assert {re.sub(r"\d{7}", "XXXXXXX", f) for f in written} == named
+
     def test_train_then_finetune(self, tmp_path, corpus_dir):
         # pretraining runs without reconstruction whatever the config says
         cfg_path = write_config(tmp_path, corpus_dir, recon_mode="sampled")
         out = str(tmp_path / "pre")
         assert run_cli("train", "--config", cfg_path, "--out-dir", out) == 0
         assert "recon_mode=none\n" in open(os.path.join(out, "config.txt")).read()
-        ckpts = sorted(f for f in os.listdir(out) if f.startswith("checkpoint")
-                       and not f.endswith("trainer.npz"))
+        ckpts = sorted(f for f in os.listdir(out) if f.startswith("checkpoint"))
         assert len(ckpts) == 2
         init = os.path.join(out, ckpts[-1])
         ft_out = str(tmp_path / "ft")
@@ -121,8 +135,7 @@ class TestTrainCommands:
         cfg_path = write_config(tmp_path, corpus_dir)
         out = str(tmp_path / "pre")
         assert run_cli("train", "--config", cfg_path, "--out-dir", out) == 0
-        ckpts = sorted(f for f in os.listdir(out) if f.startswith("checkpoint")
-                       and not f.endswith("trainer.npz"))
+        ckpts = sorted(f for f in os.listdir(out) if f.startswith("checkpoint"))
         init = os.path.join(out, ckpts[-1])
         assert run_cli("finetune", "--config", cfg_path,
                        "--out-dir", str(tmp_path / "hid"),
@@ -338,8 +351,6 @@ class TestConfig:
             RunConfig(precision="fp16")
         with pytest.raises(ValueError):
             RunConfig(recon_mode="both")
-        with pytest.raises(ValueError):
-            RunConfig(reduction="median")
 
     def test_overrides_are_validated(self, tmp_path):
         path = tmp_path / "run.cfg"

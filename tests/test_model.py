@@ -1,5 +1,8 @@
 """Encoder, decoder step, teacher-forced scoring and checkpointing."""
 
+import io
+import os
+
 import numpy as np
 import pytest
 
@@ -228,6 +231,35 @@ class TestCheckpoint:
         assert loaded_vocab.id_to_token == vocab.id_to_token
         assert header["meta"]["update"] == 7
 
+    def test_failed_write_leaves_previous_checkpoint(self, tmp_path, fp64,
+                                                     monkeypatch):
+        params = tiny_params(vocab_size=9, seed=4)
+        vocab = self._vocab()
+        path = str(tmp_path / "ckpt.npz")
+        ckpt_io.save(path, params, vocab, "fp64", meta={"update": 1})
+        before = open(path, "rb").read()
+        real_savez = np.savez
+
+        def savez_then_fail(fh, *args, **kwargs):
+            # write the first half of the archive, then fail as a full disk would
+            buf = io.BytesIO()
+            real_savez(buf, *args, **kwargs)
+            fh.write(buf.getvalue()[: len(buf.getvalue()) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "savez", savez_then_fail)
+        with pytest.raises(OSError, match="no space"):
+            ckpt_io.save(path, tiny_params(vocab_size=9, seed=5), vocab, "fp64",
+                         meta={"update": 2})
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == ["ckpt.npz"]
+        assert open(path, "rb").read() == before
+        loaded, _, header = ckpt_io.load(path)
+        assert header["meta"]["update"] == 1
+        for (_, t1), (_, t2) in zip(params.named_parameters(),
+                                    loaded.named_parameters()):
+            assert np.array_equal(t1.data, t2.data)
+
     def test_structural_mismatch_fails_fast(self, tmp_path, fp64):
         params = tiny_params(vocab_size=9, d=6)
         path = str(tmp_path / "ckpt.npz")
@@ -247,18 +279,16 @@ class TestCheckpoint:
 
 
 def test_translation_loss_reductions(fp64):
+    # the loss is per target token; the sum in nats comes beside it
     params = tiny_params(vocab_size=9)
     params.E.data[:] = 0.0
     src_ids, src_mask, tgt_ids, tgt_mask = toy_batch()
-    loss_sum, *_ = translation_loss(params, _as_batch(src_ids, src_mask, tgt_ids,
-                                                      tgt_mask), 1,
-                                    reduction="sum")
-    loss_mean, *_ = translation_loss(params, _as_batch(src_ids, src_mask, tgt_ids,
-                                                       tgt_mask), 1,
-                                     reduction="mean")
-    n = tgt_mask.sum()
-    assert float(loss_sum.data) == pytest.approx(n * np.log(9.0), abs=1e-6)
-    assert float(loss_mean.data) == pytest.approx(np.log(9.0), abs=1e-6)
+    loss, sum_nats, n_tokens, *_ = translation_loss(
+        params, _as_batch(src_ids, src_mask, tgt_ids, tgt_mask), 1)
+    assert n_tokens == tgt_mask.sum()
+    assert float(loss.data) * n_tokens == pytest.approx(sum_nats, rel=1e-12)
+    assert sum_nats == pytest.approx(n_tokens * np.log(9.0), abs=1e-6)
+    assert float(loss.data) == pytest.approx(np.log(9.0), abs=1e-6)
 
 
 def _as_batch(src_ids, src_mask, tgt_ids, tgt_mask):
@@ -275,6 +305,6 @@ def test_duplicated_sentence_doubles_sum_loss(fp64):
                     np.repeat(src_mask[:1], 2, axis=0),
                     np.repeat(tgt_ids[:1], 2, axis=0),
                     np.repeat(tgt_mask[:1], 2, axis=0))
-    l1, *_ = translation_loss(params, one, 1, reduction="sum")
-    l2, *_ = translation_loss(params, two, 1, reduction="sum")
-    assert float(l2.data) == pytest.approx(2 * float(l1.data), rel=1e-12)
+    _, l1, *_ = translation_loss(params, one, 1)
+    _, l2, *_ = translation_loss(params, two, 1)
+    assert l2 == pytest.approx(2 * l1, rel=1e-12)

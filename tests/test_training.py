@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from roundtrip import autodiff as ad
+from roundtrip import checkpoint as ckpt_io
 from roundtrip import training
 from roundtrip.autodiff import Tensor
 from roundtrip.config import RunConfig
@@ -183,14 +184,14 @@ class TestObjectives:
         assert float(sum_b) == pytest.approx(2.0 * float(sum_a), rel=1e-9)
 
     def test_hidden_recon_is_per_source_token(self, fp64):
-        # under reduction="mean" the term is w_enc * L_enc + w_dec * L_dec with
-        # each L normalized by the source token count, counted once
+        # the term is w_enc * L_enc + w_dec * L_dec with each L normalized by
+        # the source token count, counted once
         params = tiny_params(seed=3)
         aux = HiddenReconstructorParams(params.config, np.random.default_rng(4))
         batch = toy_batch()
         n_src = float(batch.src_mask.sum())
         enc_only, enc_sum, n_tokens, *_ = hidden_reconstruction_loss(
-            params, batch, aux, bos_id=1, w_enc=1.0, w_dec=0.0, reduction="mean")
+            params, batch, aux, bos_id=1, w_enc=1.0, w_dec=0.0)
         enc_nll, _, _ = sequence_nll(
             aux.dec_enc, prepare_memory(aux.dec_enc, encode(params, batch.src_ids,
                                                             batch.src_mask)),
@@ -200,7 +201,7 @@ class TestObjectives:
         assert float(enc_only.data) == pytest.approx(float(enc_nll.data) / n_src,
                                                      rel=1e-12)
         recon, recon_sum, n_tokens, *_ = hidden_reconstruction_loss(
-            params, batch, aux, bos_id=1, w_enc=0.3, w_dec=0.7, reduction="mean")
+            params, batch, aux, bos_id=1, w_enc=0.3, w_dec=0.7)
         assert recon_sum / n_tokens == pytest.approx(float(recon.data), rel=1e-12)
 
     def test_hidden_aux_shape_mismatch_errors(self, fp64):
@@ -286,6 +287,28 @@ class TestParameterCounts:
         assert restored_b == states_a[4]
         assert losses_b == [(u, l) for u, l in losses_a if u >= 4]
 
+    def test_pretrain_checkpoint_does_not_restore_into_hidden(self, tmp_path):
+        hidden = self._training_setup("hidden", tmp_path)
+        pre_ckpt = str(tmp_path / "pre" / "checkpoint-0000005.npz")
+        with pytest.raises(ValueError, match="pretrain.*recon_mode=none.*"
+                                             "finetune.*recon_mode=hidden"):
+            hidden.restore(pre_ckpt)
+
+    def test_hidden_checkpoint_does_not_restore_into_pretrain(self, tmp_path):
+        hidden_ckpt = self._training_setup("hidden", tmp_path).run().final_checkpoint
+        pre = self._training_setup("none", tmp_path / "again")
+        with pytest.raises(ValueError, match="finetune.*recon_mode=hidden.*"
+                                             "pretrain.*recon_mode=none"):
+            pre.restore(hidden_ckpt)
+
+    def test_model_only_checkpoint_does_not_restore(self, tmp_path):
+        pre = self._training_setup("none", tmp_path)
+        path = str(tmp_path / "model-only.npz")
+        ckpt_io.save(path, pre.params, pre.vocab, pre.cfg.precision)
+        with pytest.raises(ValueError, match="model-only.npz holds no trainer state"):
+            pre.restore(path)
+
+
 class TestTrainerLoop:
     def _make(self, tmp_path, **cfg_kwargs):
         data, vocab = toy_task(size=60, dev_size=10, test_size=10)
@@ -368,10 +391,23 @@ class TestTrainerLoop:
             return out
 
         trainer_b.compute_losses = spy_b
-        trainer_b.run()
+        result_b = trainer_b.run()
         tail_a = [l for u, l in losses_a if u >= 10]
         tail_b = [l for u, l in losses_b]
         assert tail_b == tail_a
+        # the resumed run numbers its checkpoints on from the one it restored
+        assert [m["checkpoint"] for m in result_b.metrics] == [3, 4]
+        assert result_b.metrics == result_a.metrics[2:]
+
+    def test_clipped_run_is_reproducible_and_differs(self, tmp_path):
+        def metrics(name, clip):
+            trainer, _, _ = self._make(tmp_path / name, grad_clip_norm=clip,
+                                       checkpoint_interval=5, max_updates=10)
+            return trainer.run().metrics
+
+        clipped = metrics("a", 0.1)
+        assert clipped == metrics("b", 0.1)
+        assert clipped != metrics("c", 0.0)
 
     def test_chunked_runs_batch_each_epoch_once(self, tmp_path, monkeypatch):
         # 120 pairs in batches of 16 are 8 batches an epoch: 20 updates span
@@ -393,12 +429,7 @@ class TestTrainerLoop:
         for cap in (5, 10, 15, 20):
             metrics += chunked.run(max_updates=cap).metrics
         assert len(calls) == 6
-
-        def without_index(rows):
-            # a row's checkpoint index counts within its own run() call
-            return [{k: v for k, v in r.items() if k != "checkpoint"} for r in rows]
-
-        assert without_index(metrics) == without_index(expected)
+        assert metrics == expected
 
     def test_identical_seeds_reproduce_metrics(self, tmp_path):
         t1, _, _ = self._make(tmp_path / "a")
@@ -424,6 +455,6 @@ def test_phase_guard_in_compute_losses(tmp_path):
         else RunConfig(**{**cfg.__dict__, "recon_mode": "sampled"})
     ft = Trainer(ft_cfg, vocab, data["train"], data["dev"], "finetune",
                  str(tmp_path / "ft"), init_checkpoint=result.final_checkpoint)
-    batch = ft._epoch_batches(0)[0]
+    batch = next(ft._batch_stream())
     loss, breakdown, _ = ft.compute_losses(batch, 0, train=False)
     assert breakdown.combined == breakdown.l_t + breakdown.l_r
