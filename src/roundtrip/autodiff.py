@@ -104,23 +104,15 @@ class Tape:
     def __exit__(self, *exc) -> None:
         Tape._stack.pop()
 
-    @classmethod
-    def current(cls) -> "Tape | None":
-        return cls._stack[-1] if cls._stack else None
-
-    def clear(self) -> None:
-        self.nodes.clear()
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
 
 def record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     """Attach a custom node to the active tape (no-op without one)."""
-    tape = Tape.current()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        tape.nodes.append((out, tuple(inputs), backward_fn))
+    if Tape._stack:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                Tape._stack[-1].nodes.append((out, tuple(inputs), backward_fn))
+                break
     return out
 
 
@@ -147,10 +139,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
             if g is None or not t.requires_grad:
                 continue
             key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + g
-            else:
-                grads[key] = g
+            prev = grads.get(key)
+            grads[key] = g if prev is None else prev + g
 
     leaves: dict[int, Tensor] = {}
     for _, inputs, _ in tape.nodes:
@@ -180,7 +170,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
-    a_shape, b_shape = a.shape, b.shape
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def bwd(g):
         return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
@@ -247,7 +237,12 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def bwd(g):
-        return g @ b_data.transpose(0, 2, 1), a_data.transpose(0, 2, 1) @ g
+        ga = g @ b_data.transpose(0, 2, 1)
+        if a_data.shape[1] == 1:
+            # a contraction over one term is the product; + 0.0 turns a -0.0
+            # product into the +0.0 that matmul's sum from zero gives
+            return ga, a_data.transpose(0, 2, 1) * g + 0.0
+        return ga, a_data.transpose(0, 2, 1) @ g
 
     return record(out, (a, b), bwd)
 
@@ -261,8 +256,8 @@ def tanh(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     # exp only ever sees non-positive arguments, so no overflow
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0, e) / (1.0 + e)
     out = Tensor(y)
     y = out.data
     return record(out, (a,), lambda g: (y * (1.0 - y) * g,))
@@ -295,9 +290,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float = 1e-6) -> 
         raise ValueError("layer_norm over a zero-length axis")
     if gain.shape != (n,) or bias.shape != (n,):
         raise ValueError(f"gain/bias must have shape ({n},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # sum / n is the value ndarray.mean gives, without its Python wrapper
+    mu = x.data.sum(axis=-1, keepdims=True) / n
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + epsilon)
     xhat = centered * inv_std
     out = Tensor(xhat * gain.data + bias.data)
@@ -306,8 +302,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float = 1e-6) -> 
     def bwd(g):
         gx_hat = g * g_data
         # d/dx of (x - mu) * inv_std with mu, var both functions of x
-        m1 = gx_hat.mean(axis=-1, keepdims=True)
-        m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+        m1 = gx_hat.sum(axis=-1, keepdims=True) / n
+        m2 = (gx_hat * xhat).sum(axis=-1, keepdims=True) / n
         gx = inv_std * (gx_hat - m1 - xhat * m2)
         lead = tuple(range(g.ndim - 1))
         ggain = (g * xhat).sum(axis=lead)
@@ -375,8 +371,10 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool = True) -
 
 def concat(xs: Sequence[Tensor], axis: int = -1) -> Tensor:
     out = Tensor(np.concatenate([x.data for x in xs], axis=axis))
-    sizes = [x.shape[axis] for x in xs]
-    splits = np.cumsum(sizes)[:-1]
+    splits, end = [], 0
+    for x in xs[:-1]:
+        end += x.data.shape[axis]
+        splits.append(end)
 
     def bwd(g):
         return tuple(np.split(g, splits, axis=axis))

@@ -173,9 +173,11 @@ class DecoderState:
 
 
 def _masked_carry(new: Tensor, old: Tensor, mask_col: np.ndarray) -> Tensor:
-    m = ad.constant(mask_col)
-    inv = ad.constant(1.0 - mask_col)
-    return ad.add(ad.mul(new, m), ad.mul(old, inv))
+    """new * m + old * (1 - m) as one node; m is 0/1 per row."""
+    m = np.asarray(mask_col, dtype=ad.default_dtype())
+    inv = np.asarray(1.0 - mask_col, dtype=ad.default_dtype())
+    out = Tensor(new.data * m + old.data * inv)
+    return ad.record(out, (new, old), lambda g: (g * m, g * inv))
 
 
 def _embed_step(E: Tensor, ids: np.ndarray | None, dist: Tensor | None) -> Tensor:
