@@ -6,6 +6,7 @@ Merges are learned at word level (no end-of-word marker); segmented words use
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -17,21 +18,28 @@ class SubwordModel:
 
     merges: list[tuple[str, str]] = field(default_factory=list)
 
+    def __post_init__(self):
+        # merges may come back from JSON as lists; the rank table keys tuples
+        self.merges = [tuple(m) for m in self.merges]
+        self._ranks = {pair: i for i, pair in enumerate(self.merges)}
+
     def segment_word(self, word: str) -> list[str]:
+        """Merge the word's lowest-ranked adjacent pair, leftmost first, until
+        no adjacent pair is a merge."""
         if not self.merges:
             return [word]
         symbols = list(word)
-        ranks = {pair: i for i, pair in enumerate(self.merges)}
-        while len(symbols) > 1:
-            pairs = [(symbols[i], symbols[i + 1]) for i in range(len(symbols) - 1)]
-            ranked = [(ranks[p], i) for i, p in enumerate(pairs) if p in ranks]
+        while True:
+            ranked = [(self._ranks[p], i) for i, p in enumerate(zip(symbols, symbols[1:]))
+                      if p in self._ranks]
             if not ranked:
-                break
+                return symbols
             _, i = min(ranked)
-            symbols = symbols[:i] + [symbols[i] + symbols[i + 1]] + symbols[i + 2:]
-        return symbols
+            symbols[i: i + 2] = [symbols[i] + symbols[i + 1]]
 
-    def segment(self, tokens: list[str]) -> list[str]:
+    def segment(self, tokens: Iterable[str]) -> list[str]:
+        if not self.merges:
+            return list(tokens)
         out: list[str] = []
         for tok in tokens:
             pieces = self.segment_word(tok)
@@ -39,38 +47,11 @@ class SubwordModel:
             out.append(pieces[-1])
         return out
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("#roundtrip-bpe v1\n")
-            for a, b in self.merges:
-                fh.write(f"{a}\t{b}\n")
-
-    @classmethod
-    def load(cls, path: str) -> "SubwordModel":
-        merges = []
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline()
-            if not header.startswith("#roundtrip-bpe"):
-                raise ValueError(f"{path} is not a subword model file")
-            for line in fh:
-                a, b = line.rstrip("\n").split("\t")
-                merges.append((a, b))
-        return cls(merges)
-
 
 def desegment(tokens: Iterable[str]) -> list[str]:
-    """Invert segment(): join "@@"-continued pieces back into words."""
-    words: list[str] = []
-    buf = ""
-    for tok in tokens:
-        if tok.endswith("@@"):
-            buf += tok[:-2]
-        else:
-            words.append(buf + tok)
-            buf = ""
-    if buf:
-        words.append(buf)
-    return words
+    """Invert segment(): join "@@"-continued pieces back into words; a
+    continued piece at the end ends a word."""
+    return re.sub(r"@@( |$)", "", " ".join(tokens)).split()
 
 
 def learn_subword_model(corpus: Iterable[list[str]], merges: int) -> SubwordModel:
@@ -87,8 +68,6 @@ def learn_subword_model(corpus: Iterable[list[str]], merges: int) -> SubwordMode
             word_counts[tuple(tok)] += 1
     if not word_counts:
         raise ValueError("cannot learn a subword model from an empty corpus")
-    if merges == 0:
-        return SubwordModel([])
 
     vocab = dict(word_counts)
     table: list[tuple[str, str]] = []
@@ -102,7 +81,7 @@ def learn_subword_model(corpus: Iterable[list[str]], merges: int) -> SubwordMode
         best = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
         table.append(best)
         merged = best[0] + best[1]
-        new_vocab: dict[tuple[str, ...], int] = {}
+        new_vocab: Counter[tuple[str, ...]] = Counter()
         for symbols, count in vocab.items():
             out = []
             i = 0
@@ -113,7 +92,6 @@ def learn_subword_model(corpus: Iterable[list[str]], merges: int) -> SubwordMode
                 else:
                     out.append(symbols[i])
                     i += 1
-            key = tuple(out)
-            new_vocab[key] = new_vocab.get(key, 0) + count
+            new_vocab[tuple(out)] += count
         vocab = new_vocab
     return SubwordModel(table)

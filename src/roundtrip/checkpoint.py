@@ -1,5 +1,6 @@
-"""Versioned checkpoint container: named parameter tensors + vocab + config
-hash, and, in a checkpoint the trainer writes, the trainer's state.
+"""Versioned checkpoint container: named parameter tensors + the vocab, with
+its language tags and subword merges + config hash, and, in a checkpoint the
+trainer writes, the trainer's state.
 
 Arrays are stored little-endian in the run's width (32-bit floats for fp32
 runs), so save -> load is bit-exact and resumed training reproduces the same
@@ -48,6 +49,8 @@ def save(path: str, params: ModelParams, vocab: Vocab, precision: str,
         "precision": precision,
         "config": dataclasses.asdict(params.config),
         "config_hash": structural_hash(params.config, precision),
+        "tags": vocab.tags,
+        "merges": vocab.merges,
         "meta": meta or {},
     }
     vocab_lines = "\n".join(vocab.id_to_token)
@@ -66,7 +69,10 @@ def save(path: str, params: ModelParams, vocab: Vocab, precision: str,
 
 
 def load(path: str, expect_hash: str | None = None) -> tuple[ModelParams, Vocab, dict]:
-    """Rebuild params/vocab; verifies the structural hash when given."""
+    """Rebuild params/vocab; verifies the structural hash when given. A header
+    without tags or merges predates them: its vocab has no merges, and its
+    tags are the two tokens right after the reserved ones, where `Vocab.build`
+    has always put the sorted tags of the corpus's one language pair."""
     with np.load(path, allow_pickle=False) as data:
         header = json.loads(str(data["__header__"]))
         if header["version"] != FORMAT_VERSION:
@@ -74,8 +80,8 @@ def load(path: str, expect_hash: str | None = None) -> tuple[ModelParams, Vocab,
         if expect_hash is not None and header["config_hash"] != expect_hash:
             raise ValueError("checkpoint config hash mismatch; "
                              "model dims/vocab/precision differ from the run config")
-        tokens = str(data["__vocab__"]).split("\n")
-        vocab = Vocab(tokens[len(RESERVED):])
+        tokens = str(data["__vocab__"]).split("\n")[len(RESERVED):]
+        vocab = Vocab(tokens, header.get("tags", tokens[:2]), header.get("merges", []))
         params = ModelParams(ModelConfig(**header["config"]), np.random.default_rng(0))
         dtype = ad.default_dtype()
         for name, t in params.named_parameters():

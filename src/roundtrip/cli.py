@@ -14,8 +14,9 @@ from . import autodiff as ad
 from . import checkpoint as ckpt_io
 from . import synth
 from .config import RunConfig, load_config, serialize_config
-from .data import (ParallelPair, TaggedSentence, Vocab, filter_by_length,
-                   load_parallel)
+from .bpe import SubwordModel, learn_subword_model
+from .data import (ParallelPair, TaggedSentence, Vocab, build_bidirectional_corpus,
+                   filter_by_length, lang_tag, load_parallel, tag_lang)
 from .evaluation import (DecodeConfig, corpus_bleu, decode_corpus,
                          delta_bleu_report, format_delta_report, perplexity)
 from .training import Trainer
@@ -96,30 +97,18 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_data(cfg: RunConfig, out_dir: str | None = None):
+def _load_data(cfg: RunConfig):
+    """Word-level train and dev pairs, and the vocab with its merges."""
     train_pairs = load_parallel(cfg.train_src, cfg.train_tgt, cfg.src_lang, cfg.tgt_lang)
     dev_pairs = load_parallel(cfg.dev_src, cfg.dev_tgt, cfg.src_lang, cfg.tgt_lang)
+    subword = SubwordModel()
     if cfg.bpe_merges > 0:
-        from .bpe import learn_subword_model
-
-        streams = [list(p.source.tokens) for p in train_pairs]
-        streams += [list(p.target.tokens) for p in train_pairs]
+        streams = [p.source.tokens for p in train_pairs]
+        streams += [p.target.tokens for p in train_pairs]
         subword = learn_subword_model(streams, cfg.bpe_merges)
-        if out_dir:
-            subword.save(os.path.join(out_dir, "bpe.merges"))
-
-        def seg(pairs):
-            return [ParallelPair(
-                TaggedSentence(p.source.lang, tuple(subword.segment(list(p.source.tokens)))),
-                TaggedSentence(p.target.lang, tuple(subword.segment(list(p.target.tokens)))))
-                for p in pairs]
-
-        train_pairs, dev_pairs = seg(train_pairs), seg(dev_pairs)
-    # length filter counts post-segmentation tokens, tag excluded
-    train_pairs = filter_by_length(train_pairs, cfg.max_len_filter)
-    from .data import build_bidirectional_corpus
-
-    vocab = Vocab.build(build_bidirectional_corpus(train_pairs))
+    # the length filter counts post-segmentation tokens, tag excluded
+    train_pairs = filter_by_length(train_pairs, cfg.max_len_filter, subword)
+    vocab = Vocab.build(build_bidirectional_corpus(train_pairs), subword.merges)
     return train_pairs, dev_pairs, vocab
 
 
@@ -136,7 +125,7 @@ def cmd_train(args, phase: str) -> int:
     if init is not None and not os.path.exists(init):
         raise UsageError(f"missing checkpoint: {init!r}")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    train_pairs, dev_pairs, vocab = _load_data(cfg, out_dir=cfg.out_dir)
+    train_pairs, dev_pairs, vocab = _load_data(cfg)
     with ad.using_dtype(cfg.precision):
         trainer = Trainer(cfg, vocab, train_pairs, dev_pairs, phase,
                           cfg.out_dir, init_checkpoint=init)
@@ -154,7 +143,6 @@ def cmd_translate(args) -> int:
         with open(args.input, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
 
-        tag_tokens = set(vocab.language_tags)
         pairs = []
         keep = []
         for i, line in enumerate(lines):
@@ -163,21 +151,19 @@ def cmd_translate(args) -> int:
                 print(f"warning: line {i + 1} is empty; emitting empty translation",
                       file=sys.stderr)
                 continue
-            if toks[0] in tag_tokens:
-                lang = toks[0][1:-1]
+            if toks[0] in vocab.tags:
+                lang = tag_lang(toks[0])
                 toks = toks[1:]
             elif args.src_lang:
                 lang = args.src_lang
             else:
                 raise UsageError(f"line {i + 1} is untagged and no --src-lang given")
-            if f"<{lang}>" not in tag_tokens:
-                raise UsageError(f"language {lang!r} unknown to the checkpoint vocab")
             if not toks:
                 print(f"warning: line {i + 1} has a tag but no tokens; "
                       "emitting empty translation", file=sys.stderr)
                 continue
             # target side of the pair is a placeholder; only the source is decoded
-            other = next(t[1:-1] for t in sorted(tag_tokens) if t != f"<{lang}>")
+            other = next(tag_lang(t) for t in vocab.tags if t != lang_tag(lang))
             pairs.append(ParallelPair(TaggedSentence(lang, tuple(toks)),
                                       TaggedSentence(other, ("x",))))
             keep.append(i)

@@ -1,16 +1,20 @@
 """Corpus handling: tagged sentences, bi-directional swap-append, vocab, batches.
 
-Source and target sides both carry a language tag as their first token; the
-tag is an ordinary vocabulary entry and is counted by the loss, not by the
-length filter.
+Pairs hold words; the vocab segments them into the model's subword pieces
+and joins pieces back into words. Both sides carry a language tag as their
+first token; the tag is an ordinary vocabulary entry, never segmented, and
+is counted by the loss, not by the length filter.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .bpe import SubwordModel, desegment
 
 PAD, BOS, EOS, UNK = "<pad>", "<bos>", "<eos>", "<unk>"
 RESERVED = (PAD, BOS, EOS, UNK)
@@ -20,13 +24,15 @@ def lang_tag(lang: str) -> str:
     return f"<{lang}>"
 
 
+def tag_lang(tag: str) -> str:
+    """The language of a tag `lang_tag` made."""
+    return tag[1:-1]
+
+
 @dataclass(frozen=True)
 class TaggedSentence:
     lang: str
     tokens: tuple[str, ...]
-
-    def tagged(self) -> list[str]:
-        return [lang_tag(self.lang), *self.tokens]
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -54,17 +60,24 @@ def build_bidirectional_corpus(pairs: Sequence[ParallelPair]) -> list[ParallelPa
     return list(pairs) + [p.swapped() for p in pairs]
 
 
-def filter_by_length(pairs: Iterable[ParallelPair], max_len: int) -> list[ParallelPair]:
-    """Drop pairs where either side exceeds max_len tokens (tag not counted)."""
+def filter_by_length(pairs: Iterable[ParallelPair], max_len: int,
+                     subword: SubwordModel = SubwordModel()) -> list[ParallelPair]:
+    """Drop pairs where either side exceeds max_len tokens (tag not counted),
+    counted as `subword` segments them."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    return [p for p in pairs if len(p.source) <= max_len and len(p.target) <= max_len]
+    return [p for p in pairs
+            if len(subword.segment(p.source.tokens)) <= max_len
+            and len(subword.segment(p.target.tokens)) <= max_len]
 
 
 class Vocab:
-    """Bijective token<->id map with reserved ids for PAD/BOS/EOS/UNK."""
+    """The token space: a bijective token<->id map with reserved ids for
+    PAD/BOS/EOS/UNK, which tokens are language tags, and the subword merges
+    that split words into its pieces (none: a word is one token)."""
 
-    def __init__(self, tokens: Sequence[str]):
+    def __init__(self, tokens: Sequence[str], tags: Sequence[str] = (),
+                 merges: Sequence[tuple[str, str]] = ()):
         self.id_to_token: list[str] = list(RESERVED)
         seen = set(RESERVED)
         for tok in tokens:
@@ -73,12 +86,21 @@ class Vocab:
             seen.add(tok)
             self.id_to_token.append(tok)
         self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
+        self.tags = list(tags)
+        if any(t not in self.token_to_id or t in RESERVED for t in self.tags):
+            raise ValueError(f"language tags {self.tags} must be vocabulary "
+                             "tokens other than the reserved ones")
+        self.subword = SubwordModel(merges)
+        self.merges = self.subword.merges
+        self._dropped = frozenset(range(len(RESERVED))).union(
+            self.token_to_id[t] for t in self.tags)
 
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def __contains__(self, tok: str) -> bool:
-        return tok in self.token_to_id
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Vocab) and self.id_to_token == other.id_to_token
+                and self.tags == other.tags and self.merges == other.merges)
 
     @property
     def pad(self) -> int:
@@ -96,33 +118,31 @@ class Vocab:
     def unk(self) -> int:
         return self.token_to_id[UNK]
 
-    @property
-    def language_tags(self) -> list[str]:
-        """The `<lang>` tag tokens, in id order; reserved tokens are not tags."""
-        return [t for t in self.id_to_token[len(RESERVED):]
-                if t.startswith("<") and t.endswith(">")]
-
-    def encode(self, tokens: Iterable[str]) -> list[int]:
+    def encode(self, words: Iterable[str]) -> list[int]:
+        """Ids of the words' pieces; a piece outside the vocab is UNK."""
         unk = self.unk
-        return [self.token_to_id.get(t, unk) for t in tokens]
+        return [self.token_to_id.get(t, unk) for t in self.subword.segment(words)]
 
     def decode(self, ids: Iterable[int]) -> list[str]:
-        return [self.id_to_token[i] for i in ids]
+        """Words of the ids: reserved tokens and tags dropped, pieces joined."""
+        pieces = [self.id_to_token[i] for i in ids if i not in self._dropped]
+        return desegment(pieces) if self.merges else pieces
 
     @classmethod
-    def build(cls, pairs: Sequence[ParallelPair]) -> "Vocab":
-        """Vocabulary over both sides, tags included, ordered by frequency."""
-        from collections import Counter
-
+    def build(cls, pairs: Sequence[ParallelPair],
+              merges: Sequence[tuple[str, str]] = ()) -> "Vocab":
+        """Vocabulary over both sides' pieces, ordered by frequency, after
+        the pairs' language tags, sorted."""
+        subword = SubwordModel(merges)
         counts: Counter[str] = Counter()
         tags = set()
         for p in pairs:
             tags.add(lang_tag(p.source.lang))
             tags.add(lang_tag(p.target.lang))
-            counts.update(p.source.tokens)
-            counts.update(p.target.tokens)
-        ordered = sorted(tags) + [t for t, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
-        return cls(ordered)
+            counts.update(subword.segment(p.source.tokens))
+            counts.update(subword.segment(p.target.tokens))
+        ordered = [t for t, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
+        return cls(sorted(tags) + ordered, sorted(tags), subword.merges)
 
 
 @dataclass
@@ -144,9 +164,13 @@ class Batch:
 
 
 def encode_sentence(vocab: Vocab, sent: TaggedSentence) -> list[int]:
-    """Tag, tokens, EOS: a source as the encoder reads it, and a target as the
-    decoder predicts it, the tag first and EOS last."""
-    return vocab.encode(sent.tagged()) + [vocab.eos]
+    """Tag, pieces, EOS: a source as the encoder reads it, and a target as the
+    decoder predicts it, the tag first and EOS last. The tag is never
+    segmented, and a language the vocab holds no tag for is an error."""
+    tag = lang_tag(sent.lang)
+    if tag not in vocab.tags:
+        raise ValueError(f"language {sent.lang!r} unknown to the vocab")
+    return [vocab.token_to_id[tag], *vocab.encode(sent.tokens), vocab.eos]
 
 
 def _pad(rows: list[list[int]], pad_id: int) -> tuple[np.ndarray, np.ndarray]:

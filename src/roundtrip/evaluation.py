@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import RESERVED, ParallelPair, Vocab, make_batch
+from .data import ParallelPair, Vocab, make_batch
 from .model import (DecoderState, Memory, ModelParams, decode_step, encode,
                     init_decoder_state, length_caps, prepare_memory)
 
@@ -218,9 +218,8 @@ def perplexity(params: ModelParams, corpus: list[ParallelPair], vocab: Vocab,
 
 def decode_corpus(params: ModelParams, vocab: Vocab, pairs: list[ParallelPair],
                   config: DecodeConfig, batch_size: int = 48) -> list[str]:
-    """Decode sources to target-language text (tag and EOS stripped)."""
+    """Decode sources to target-language words (tag and EOS stripped)."""
     out: list[str] = []
-    dropped = {vocab.token_to_id[t] for t in (*RESERVED, *vocab.language_tags)}
     for i in range(0, len(pairs), batch_size):
         chunk = pairs[i: i + batch_size]
         batch = make_batch(vocab, chunk)
@@ -235,9 +234,7 @@ def decode_corpus(params: ModelParams, vocab: Vocab, pairs: list[ParallelPair],
             rows = greedy_decode(params, batch.src_ids, batch.src_mask,
                                  vocab.bos, vocab.eos, config.max_len_factor,
                                  config.max_len_offset)
-        for ids in rows:
-            toks = [vocab.id_to_token[i] for i in ids if i not in dropped]
-            out.append(" ".join(toks))
+        out.extend(" ".join(vocab.decode(ids)) for ids in rows)
     return out
 
 

@@ -293,8 +293,7 @@ def length_caps(src_mask: np.ndarray, factor: int, offset: int) -> np.ndarray:
 
 def sequence_nll(dec: DecoderParams, memory: Memory, tgt_ids: np.ndarray,
                  tgt_mask: np.ndarray, bos_id: int, train: bool = False,
-                 rng: np.random.Generator | None = None,
-                 collect_states: bool = False):
+                 rng: np.random.Generator | None = None):
     """Teacher-forced NLL summed over unmasked target positions.
 
     Ground-truth tokens are fed at every step; the first input is BOS and the
@@ -314,8 +313,7 @@ def sequence_nll(dec: DecoderParams, memory: Memory, tgt_ids: np.ndarray,
         nll = ad.cross_entropy(logits, tgt_ids[:, t])
         step_loss = ad.reduce_sum(ad.mul(nll, ad.constant(tgt_mask[:, t])))
         loss_sum = step_loss if loss_sum is None else ad.add(loss_sum, step_loss)
-        if collect_states:
-            states.append(state.h)
+        states.append(state.h)
         prev = tgt_ids[:, t]
     n_tokens = float(tgt_mask.sum())
     return loss_sum, n_tokens, states

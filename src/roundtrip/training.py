@@ -44,8 +44,7 @@ class PhaseError(RuntimeError):
 
 
 def translation_loss(params: ModelParams, batch: Batch, bos_id: int,
-                     train: bool = False, rng: np.random.Generator | None = None,
-                     collect_states: bool = False):
+                     train: bool = False, rng: np.random.Generator | None = None):
     """Teacher-forced NLL over the batch; returns (loss, sum_nats, n_tokens,
     enc, states); `loss` is the NLL per target token."""
     if batch.size == 0:
@@ -54,7 +53,7 @@ def translation_loss(params: ModelParams, batch: Batch, bos_id: int,
     memory = prepare_memory(params.dec, enc)
     loss_sum, n_tokens, states = sequence_nll(
         params.dec, memory, batch.tgt_ids, batch.tgt_mask, bos_id,
-        train=train, rng=rng, collect_states=collect_states)
+        train=train, rng=rng)
     loss = ad.scalar_mul(loss_sum, 1.0 / n_tokens)
     return loss, float(loss_sum.data), n_tokens, enc, states
 
@@ -128,7 +127,7 @@ def hidden_reconstruction_loss(params: ModelParams, batch: Batch,
     if aux.dec_enc.d_ann != 2 * params.config.d_hidden:
         raise ValueError("encoder-side reconstructor width mismatch")
     t_loss, t_sum, t_tokens, enc, dec_states = translation_loss(
-        params, batch, bos_id, train=train, rng=rng, collect_states=True)
+        params, batch, bos_id, train=train, rng=rng)
 
     mem_enc = prepare_memory(aux.dec_enc, enc)
     enc_sum_t, enc_tokens, _ = sequence_nll(
@@ -287,8 +286,7 @@ class Trainer:
 
         mc = cfg.model_config(len(vocab))
         if init_checkpoint is not None:
-            expect = ckpt_io.structural_hash(mc, cfg.precision)
-            self.params, _, _ = ckpt_io.load(init_checkpoint, expect_hash=expect)
+            self.params, _ = self._load_model(init_checkpoint)
         else:
             rng = np.random.default_rng([cfg.seed, _STREAM_INIT])
             self.params = ModelParams(mc, rng)
@@ -396,11 +394,22 @@ class Trainer:
                      state=state)
         return path
 
+    def _load_model(self, path: str):
+        """The model and header of checkpoint `path`, which must hold this
+        run's structure and vocab: the same tokens in the same order, tags
+        and merges, so that an id means the same piece in both."""
+        expect = ckpt_io.structural_hash(self.cfg.model_config(len(self.vocab)),
+                                         self.cfg.precision)
+        params, vocab, header = ckpt_io.load(path, expect_hash=expect)
+        if vocab != self.vocab:
+            raise ValueError(f"{path} holds another vocab than this run's: its "
+                             "tokens, their order, tags or merges differ")
+        return params, header
+
     def restore(self, ckpt_path: str) -> None:
         """Resume mid-phase from a checkpoint of this phase and recon_mode: the
         model, reconstructors, optimizer moments, schedules and counters."""
-        expect = ckpt_io.structural_hash(self.params.config, self.cfg.precision)
-        params, _, header = ckpt_io.load(ckpt_path, expect_hash=expect)
+        params, header = self._load_model(ckpt_path)
         state, meta = ckpt_io.load_state(ckpt_path), header["meta"]
         if (meta["phase"], meta["recon_mode"]) != (self.phase, self.cfg.recon_mode):
             raise ValueError(

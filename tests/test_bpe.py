@@ -2,7 +2,7 @@
 
 import pytest
 
-from roundtrip.bpe import SubwordModel, desegment, learn_subword_model
+from roundtrip.bpe import desegment, learn_subword_model
 
 
 def test_single_merge_from_hand_counted_pairs():
@@ -54,15 +54,6 @@ def test_joint_pooling_sees_both_sides():
     model = learn_subword_model(src + tgt, merges=1)
     # (a, b) occurs in both sides, (b, c) and (b, d) once each
     assert model.merges == [("a", "b")]
-
-
-def test_save_load_roundtrip(tmp_path):
-    model = learn_subword_model([["abab", "abab", "cd"]], merges=3)
-    path = str(tmp_path / "merges.txt")
-    model.save(path)
-    loaded = SubwordModel.load(path)
-    assert loaded.merges == model.merges
-    assert loaded.segment(["abcd"]) == model.segment(["abcd"])
 
 
 def test_negative_merges_rejected():

@@ -1,5 +1,8 @@
 """End-to-end command-line behavior and config round-trips."""
 
+import contextlib
+import io
+import json
 import os
 import re
 from dataclasses import fields
@@ -9,8 +12,13 @@ import pytest
 
 from roundtrip import autodiff as ad
 from roundtrip import checkpoint as ckpt_io
+from roundtrip import cli, evaluation
 from roundtrip.cli import main
 from roundtrip.config import RunConfig, load_config, parse_config, serialize_config
+from roundtrip.data import (ParallelPair, TaggedSentence, Vocab,
+                            build_bidirectional_corpus, make_batch)
+from roundtrip.evaluation import corpus_bleu, decode_corpus
+from roundtrip.model import ModelParams
 from roundtrip.synth import generate_corpus, translate_tokens
 
 
@@ -76,12 +84,48 @@ class TestSynth:
 
 
 class TestTrainCommands:
-    def test_bpe_pipeline_wired(self, tmp_path, corpus_dir):
-        cfg_path = write_config(tmp_path, corpus_dir, bpe_merges=40,
+    def test_bpe_pipeline_wired(self, tmp_path, corpus_dir, monkeypatch):
+        # one merge, ("w", "0"), splits every word of the corpus in two, so
+        # no whole word is a vocabulary token
+        scored = []
+
+        def spy_bleu(hyps, refs):
+            scored.append((hyps, refs))
+            return corpus_bleu(hyps, refs)
+
+        monkeypatch.setattr(evaluation, "corpus_bleu", spy_bleu)
+        cfg_path = write_config(tmp_path, corpus_dir, bpe_merges=1, eval_bleu=True,
                                 max_updates=4, checkpoint_interval=4)
         out = str(tmp_path / "bpe-run")
         assert run_cli("train", "--config", cfg_path, "--out-dir", out) == 0
-        assert os.path.exists(os.path.join(out, "bpe.merges"))
+        assert not [f for _, _, files in os.walk(tmp_path) for f in files
+                    if f == "bpe.merges"]
+        ckpt = os.path.join(out, "checkpoint-0000004.npz")
+        _, vocab, _ = ckpt_io.load(ckpt)
+        assert vocab.merges == [("w", "0")] and vocab.tags == ["<l1>", "<l2>"]
+
+        # dev BLEU scores words against word references
+        dev_refs = [" ".join(line.split()) for line in
+                    open(f"{corpus_dir}/dev.l2").read().splitlines()]
+        assert len(scored) == 2 and scored[0][1] == dev_refs
+        assert not any("@@" in line for hyps, refs in scored for line in hyps + refs)
+
+        # translate reads raw words, whose pieces are all known, and writes words
+        seen = []
+
+        def spy_decode(params, vocab, pairs, config):
+            seen.append(make_batch(vocab, pairs).src_ids)
+            return decode_corpus(params, vocab, pairs, config)
+
+        monkeypatch.setattr(cli, "decode_corpus", spy_decode)
+        inp = tmp_path / "input.txt"
+        inp.write_text(open(f"{corpus_dir}/dev.l1").read())
+        hyp = str(tmp_path / "hyp.txt")
+        assert run_cli("translate", "--checkpoint", ckpt, "--input", str(inp),
+                       "--output", hyp, "--src-lang", "l1", "--beam", "1") == 0
+        assert "w05" not in vocab.token_to_id
+        assert vocab.unk not in seen[0]
+        assert "@@" not in open(hyp).read()
 
     def test_dev_bleu_logged_when_enabled(self, tmp_path, corpus_dir):
         cfg_path = write_config(tmp_path, corpus_dir, eval_bleu=True,
@@ -130,6 +174,35 @@ class TestTrainCommands:
         cfg_path = write_config(tmp_path, corpus_dir, train_src="/nonexistent")
         assert run_cli("train", "--config", cfg_path,
                        "--out-dir", str(tmp_path / "x")) == 1
+
+    def test_checkpoint_without_tags_or_merges_still_loads(self, tmp_path, corpus_dir):
+        # a checkpoint written before the header carried the vocab's tags and
+        # merges: no merges, and the two tokens after the reserved ones are tags
+        cfg_path = write_config(tmp_path, corpus_dir, max_updates=4,
+                                checkpoint_interval=4)
+        out = str(tmp_path / "pre")
+        assert run_cli("train", "--config", cfg_path, "--out-dir", out) == 0
+        ckpt = os.path.join(out, "checkpoint-0000004.npz")
+        with np.load(ckpt) as data:
+            arrays = {k: data[k] for k in data.files}
+        header = json.loads(str(arrays["__header__"]))
+        del header["tags"], header["merges"]
+        arrays["__header__"] = np.array(json.dumps(header))
+        with open(ckpt, "wb") as fh:
+            np.savez(fh, **arrays)
+        _, vocab, _ = ckpt_io.load(ckpt)
+        assert vocab.tags == ["<l1>", "<l2>"] and vocab.merges == []
+
+        inp = tmp_path / "input.txt"
+        inp.write_text("w01 w02\n<l2> w03 w04\n")
+        assert run_cli("translate", "--checkpoint", ckpt, "--input", str(inp),
+                       "--output", str(tmp_path / "hyp"), "--src-lang", "l1") == 0
+        assert run_cli("score", "--hyp", f"{corpus_dir}/dev.l2",
+                       "--ref", f"{corpus_dir}/dev.l2", "--src", f"{corpus_dir}/dev.l1",
+                       "--checkpoint", ckpt) == 0
+        assert run_cli("finetune", "--config", cfg_path, "--out-dir", str(tmp_path / "ft"),
+                       "--init-checkpoint", ckpt, "--recon-mode", "none",
+                       "--max-updates", "1") == 0
 
     def test_hidden_mode_accepted(self, tmp_path, corpus_dir):
         cfg_path = write_config(tmp_path, corpus_dir)
@@ -224,6 +297,25 @@ class TestTranslate:
         assert run_cli("translate", "--checkpoint", ckpt, "--input", str(inp),
                        "--output", str(tmp_path / "o")) == 1
 
+    def test_bracketed_word_is_not_a_language(self, tmp_path):
+        pairs = [ParallelPair(TaggedSentence("l1", ("<br>", "a")),
+                              TaggedSentence("l2", ("b", "<br>")))]
+        vocab = Vocab.build(build_bidirectional_corpus(pairs))
+        params = ModelParams(RunConfig(d_emb=8, d_hidden=8, d_attention=8)
+                             .model_config(len(vocab)), np.random.default_rng(0))
+        ckpt = str(tmp_path / "model.npz")
+        ckpt_io.save(ckpt, params, vocab, "fp32")
+        inp = tmp_path / "input.txt"
+        inp.write_text("<br> a\n")
+        out = str(tmp_path / "o")
+        assert run_cli("translate", "--checkpoint", ckpt, "--input", str(inp),
+                       "--output", out, "--src-lang", "br") == 1
+        # untagged: the line's "<br>" is a word of an l1 source
+        assert run_cli("translate", "--checkpoint", ckpt, "--input", str(inp),
+                       "--output", out) == 1
+        assert run_cli("translate", "--checkpoint", ckpt, "--input", str(inp),
+                       "--output", out, "--src-lang", "l1") == 0
+
     def test_reserved_token_is_not_a_language_tag(self, tmp_path, copy_model):
         params, vocab, _ = copy_model
         ckpt = str(tmp_path / "model.npz")
@@ -235,6 +327,18 @@ class TestTranslate:
 
 
 class TestScore:
+    def test_unknown_language_errors(self, tmp_path, copy_model, capsys):
+        params, vocab, data = copy_model
+        ckpt = str(tmp_path / "model.npz")
+        ckpt_io.save(ckpt, params, vocab, "fp32")
+        text = tmp_path / "text.txt"
+        text.write_text(" ".join(data["dev"][0].source.tokens) + "\n")
+        assert run_cli("score", "--hyp", str(text), "--ref", str(text),
+                       "--src", str(text), "--checkpoint", ckpt,
+                       "--src-lang", "en") == 1
+        captured = capsys.readouterr()
+        assert "'en'" in captured.err and "perplexity" not in captured.out
+
     def test_identical_files_score_100(self, tmp_path, capsys):
         f = tmp_path / "text.txt"
         f.write_text("a b c d\ne f g h\n")
@@ -307,10 +411,20 @@ class TestScore:
         assert "delta_mean" in out_csv.read_text()
 
 
+@pytest.fixture(scope="class")
+def gradcheck_seed0():
+    """The exit code and report of one `gradcheck --seed 0` run, shared by the
+    tests that read it: the fp64 suite takes several seconds a run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run_cli("gradcheck", "--seed", "0")
+    return code, out.getvalue()
+
+
 class TestGradcheckCommand:
-    def test_passes_and_exit_zero(self, capsys):
-        assert run_cli("gradcheck", "--seed", "0") == 0
-        out = capsys.readouterr().out
+    def test_passes_and_exit_zero(self, gradcheck_seed0):
+        code, out = gradcheck_seed0
+        assert code == 0
         assert "PASS" in out
         assert "end_to_end_lt_lr" in out
 
@@ -318,12 +432,9 @@ class TestGradcheckCommand:
         assert run_cli("gradcheck", "--seed", "0", "--corrupt") == 2
         assert "FAIL" in capsys.readouterr().out
 
-    def test_repeated_runs_identical_report(self, capsys):
-        run_cli("gradcheck", "--seed", "1")
-        first = capsys.readouterr().out
-        run_cli("gradcheck", "--seed", "1")
-        second = capsys.readouterr().out
-        assert first == second
+    def test_repeated_runs_identical_report(self, gradcheck_seed0, capsys):
+        run_cli("gradcheck", "--seed", "0")
+        assert capsys.readouterr().out == gradcheck_seed0[1]
 
 
 class TestConfig:

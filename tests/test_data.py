@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roundtrip import autodiff as ad
+from roundtrip.bpe import learn_subword_model
 from roundtrip.data import (ParallelPair, TaggedSentence, Vocab,
-                            build_bidirectional_corpus, filter_by_length,
-                            load_parallel, make_batch, make_batches)
+                            build_bidirectional_corpus, encode_sentence,
+                            filter_by_length, load_parallel, make_batch,
+                            make_batches)
 
 
 def pair(src_tokens, tgt_tokens, src_lang="sw", tgt_lang="en"):
@@ -20,10 +22,10 @@ class TestBidirectionalCorpus:
     def test_single_pair_swap(self):
         out = build_bidirectional_corpus([pair(["a"], ["b"])])
         assert len(out) == 2
-        assert out[0].source.tagged() == ["<sw>", "a"]
-        assert out[0].target.tagged() == ["<en>", "b"]
-        assert out[1].source.tagged() == ["<en>", "b"]
-        assert out[1].target.tagged() == ["<sw>", "a"]
+        assert out[0].source == TaggedSentence("sw", ("a",))
+        assert out[0].target == TaggedSentence("en", ("b",))
+        assert out[1].source == TaggedSentence("en", ("b",))
+        assert out[1].target == TaggedSentence("sw", ("a",))
 
     def test_empty_input(self):
         assert build_bidirectional_corpus([]) == []
@@ -92,8 +94,12 @@ class TestVocab:
         assert (v.pad, v.bos, v.eos, v.unk) == (0, 1, 2, 3)
 
     def test_language_tags_exclude_reserved_tokens(self):
-        v = Vocab(["<en>", "<sw>", "tok"])
-        assert v.language_tags == ["<en>", "<sw>"]
+        v = Vocab(["<en>", "<sw>", "tok"], tags=["<en>", "<sw>"])
+        assert v.tags == ["<en>", "<sw>"]
+        with pytest.raises(ValueError, match="tags"):
+            Vocab(["<en>", "tok"], tags=["<en>", "<eos>"])
+        with pytest.raises(ValueError, match="tags"):
+            Vocab(["<en>", "tok"], tags=["<en>", "<sw>"])
 
     def test_oov_maps_to_unk(self):
         v = Vocab(["<en>", "<sw>", "tok"])
@@ -113,6 +119,43 @@ class TestVocab:
     def test_encode_decode_property(self, tokens):
         v = Vocab(["<en>", "<sw>", "aa", "bb", "cc", "dd"])
         assert v.decode(v.encode(tokens)) == tokens
+
+    def test_bracketed_word_is_not_a_tag(self):
+        # "<br>" sorts right after the tags; only the pairs' languages are tags
+        v = Vocab.build([pair(["<br>", "a"], ["b"]), pair(["a"], ["<br>"])])
+        assert v.id_to_token[4:7] == ["<en>", "<sw>", "<br>"]
+        assert v.tags == ["<en>", "<sw>"]
+        ids = encode_sentence(v, TaggedSentence("en", ("<br>", "a")))
+        assert v.decode(ids) == ["<br>", "a"]
+        for lang in ("br", "fr"):
+            with pytest.raises(ValueError, match=repr(lang)):
+                encode_sentence(v, TaggedSentence(lang, ("a",)))
+
+    def test_subword_vocab_crosses_between_words_and_pieces(self):
+        merges = learn_subword_model([["abab", "ab", "ba"]], merges=1).merges
+        assert merges == [("a", "b")]
+        v = Vocab.build([pair(["abab", "ba"], ["ab"])], merges)
+        assert v.merges == merges and v.tags == ["<en>", "<sw>"]
+        assert "abab" not in v.token_to_id
+        # "aba" was never seen, but its pieces were
+        assert v.encode(["aba"]) == [v.token_to_id["ab@@"], v.token_to_id["a"]]
+        ids = encode_sentence(v, TaggedSentence("sw", ("aba", "ba")))
+        assert ids[0] == v.token_to_id["<sw>"] and v.unk not in ids
+        assert v.decode(ids) == ["aba", "ba"]
+
+    def test_length_filter_counts_pieces(self):
+        p = pair(["abab"], ["ab"])
+        subword = learn_subword_model([["abab", "ab"]], merges=1)
+        assert filter_by_length([p], 1) == [p]
+        assert filter_by_length([p], 1, subword) == []
+        assert filter_by_length([p], 2, subword) == [p]
+
+    def test_equality_covers_tokens_order_tags_and_merges(self):
+        v = Vocab(["<en>", "<sw>", "a", "b"], ["<en>", "<sw>"])
+        assert v == Vocab(["<en>", "<sw>", "a", "b"], ["<en>", "<sw>"])
+        assert v != Vocab(["<en>", "<sw>", "b", "a"], ["<en>", "<sw>"])
+        assert v != Vocab(["<en>", "<sw>", "a", "b"], ["<en>"])
+        assert v != Vocab(["<en>", "<sw>", "a", "b"], ["<en>", "<sw>"], [("a", "b")])
 
 
 class TestBatches:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roundtrip import autodiff as ad
-from roundtrip.data import make_batch
+from roundtrip import evaluation
+from roundtrip.data import ParallelPair, TaggedSentence, Vocab, make_batch
 from roundtrip.evaluation import (BleuStats, DecodeConfig, beam_decode,
                                   corpus_bleu, decode_corpus, delta_bleu_report,
                                   greedy_decode, perplexity, tokenize_13a_approx)
@@ -133,6 +134,17 @@ class TestGreedyAndSampling:
             hyps = decode_corpus(params, vocab, pairs, DecodeConfig())
             refs = [" ".join(p.target.tokens) for p in pairs]
             assert hyps == refs
+
+    def test_output_keeps_bracketed_words_and_joins_pieces(self, monkeypatch):
+        # the decoder's ids stand in for a model's: the tag and the reserved
+        # tokens go, the word "<br>" stays and pieces join into words
+        vocab = Vocab(["<l1>", "<l2>", "<br>", "a@@", "b"], ["<l1>", "<l2>"],
+                      [("a", "b")])
+        ids = [vocab.token_to_id[t] for t in ("<l2>", "<br>", "a@@", "b", "<unk>")]
+        monkeypatch.setattr(evaluation, "greedy_decode",
+                            lambda params, src_ids, *args: [ids] * len(src_ids))
+        pairs = [ParallelPair(TaggedSentence("l1", ("b",)), TaggedSentence("l2", ("b",)))]
+        assert decode_corpus(None, vocab, pairs, DecodeConfig()) == ["<br> ab"]
 
 
 def random_batch(rng, n_sents=8, vocab_size=12):

@@ -231,6 +231,16 @@ class TestCheckpoint:
         assert loaded_vocab.id_to_token == vocab.id_to_token
         assert header["meta"]["update"] == 7
 
+    def test_vocab_tags_and_merges_saved(self, tmp_path, fp64):
+        params = tiny_params(vocab_size=9, seed=4)
+        vocab = Vocab(["<l1>", "<l2>", "a@@", "b", "ab"], ["<l1>", "<l2>"],
+                      [("a", "b")])
+        path = str(tmp_path / "ckpt.npz")
+        ckpt_io.save(path, params, vocab, "fp64")
+        _, loaded_vocab, _ = ckpt_io.load(path)
+        assert loaded_vocab == vocab
+        assert loaded_vocab.encode(["abb"]) == vocab.encode(["abb"])
+
     def test_failed_write_leaves_previous_checkpoint(self, tmp_path, fp64,
                                                      monkeypatch):
         params = tiny_params(vocab_size=9, seed=4)

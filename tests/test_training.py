@@ -10,7 +10,7 @@ from roundtrip import checkpoint as ckpt_io
 from roundtrip import training
 from roundtrip.autodiff import Tensor
 from roundtrip.config import RunConfig
-from roundtrip.data import Batch, make_batch
+from roundtrip.data import Batch, Vocab, make_batch
 from roundtrip.model import ModelConfig, ModelParams, encode, prepare_memory, sequence_nll
 from roundtrip.sampling import GumbelNoiseSource, STGSConfig
 from roundtrip.training import (Adam, HiddenReconstructorParams, LrScheduler,
@@ -346,6 +346,23 @@ class TestTrainerLoop:
         with pytest.raises(PhaseError):
             Trainer(cfg, vocab, data["train"], data["dev"], "pretrain",
                     str(tmp_path / "x"))
+
+    def test_init_checkpoint_with_another_vocab_rejected(self, tmp_path):
+        # two tokens swapped: the same size, so the structural hash agrees,
+        # but every id of the two means the other token
+        data, vocab = toy_task(size=20, dev_size=4, test_size=4)
+        cfg = RunConfig(d_emb=8, d_hidden=8, d_attention=8, recon_mode="sampled")
+        tokens = vocab.id_to_token[4:]
+        tokens[-2], tokens[-1] = tokens[-1], tokens[-2]
+        swapped = Vocab(tokens, vocab.tags, vocab.merges)
+        path = str(tmp_path / "swapped.npz")
+        params = ModelParams(cfg.model_config(len(vocab)), np.random.default_rng(0))
+        ckpt_io.save(path, params, swapped, cfg.precision)
+        with pytest.raises(ValueError, match="swapped.npz.*vocab"):
+            Trainer(cfg, vocab, data["train"], data["dev"], "finetune",
+                    str(tmp_path / "ft"), init_checkpoint=path)
+        Trainer(cfg, swapped, data["train"], data["dev"], "finetune",
+                str(tmp_path / "ft"), init_checkpoint=path)
 
     def test_finetune_starts_at_finetune_lr(self, tmp_path):
         trainer, data, vocab = self._make(tmp_path, max_updates=10)
