@@ -67,9 +67,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -263,21 +260,21 @@ def sigmoid(a: Tensor) -> Tensor:
     return record(out, (a,), lambda g: (y * (1.0 - y) * g,))
 
 
-def stable_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Shift-invariant softmax along `axis`; rejects non-finite input."""
+def stable_softmax(a: Tensor) -> Tensor:
+    """Shift-invariant softmax along the last axis; rejects non-finite input."""
     x = a.data
-    if x.shape[axis] < 1:
+    if x.shape[-1] < 1:
         raise ValueError("softmax axis must have length >= 1")
     if not np.all(np.isfinite(x)):
         raise ValueError("softmax input contains non-finite values")
-    shifted = x - x.max(axis=axis, keepdims=True)
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(p)
     p = out.data
 
     def bwd(g):
-        inner = (g * p).sum(axis=axis, keepdims=True)
+        inner = (g * p).sum(axis=-1, keepdims=True)
         return (p * (g - inner),)
 
     return record(out, (a,), bwd)
@@ -358,11 +355,11 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return record(out, (table,), bwd)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool = True) -> Tensor:
-    """Inverted dropout: scales kept units by 1/(1-p) so eval is a no-op."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout: scales kept units by 1/(1-p); p=0 returns x itself."""
     if not (0.0 <= p < 1.0):
         raise ValueError("dropout probability must be in [0, 1)")
-    if not train or p == 0.0:
+    if p == 0.0:
         return x
     mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
     out = Tensor(x.data * mask)
@@ -391,10 +388,9 @@ def stack(xs: Sequence[Tensor], axis: int) -> Tensor:
     return record(out, tuple(xs), bwd)
 
 
-def slice_axis(x: Tensor, start: int, stop: int, axis: int = -1) -> Tensor:
-    index = [slice(None)] * x.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
+def slice_axis(x: Tensor, start: int, stop: int) -> Tensor:
+    """Columns start:stop of the last axis."""
+    index = (..., slice(start, stop))
     out = Tensor(x.data[index])
     x_shape = x.shape
 
@@ -412,17 +408,11 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return record(out, (x,), lambda g: (g.reshape(x_shape),))
 
 
-def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
+def reduce_sum(x: Tensor) -> Tensor:
+    """Sum of all elements."""
+    out = Tensor(x.data.sum())
     x_shape = x.shape
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, x_shape).copy(),)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp, x_shape).copy(),)
-
-    return record(out, (x,), bwd)
+    return record(out, (x,), lambda g: (np.broadcast_to(g, x_shape).copy(),))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +428,7 @@ def grad_check(f: Callable[[Tensor], Tensor], point: Tensor, h: float = 1e-5) ->
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    point.zero_grad()
+    point.grad = None
     with Tape() as tape:
         out = f(point)
     if out.size != 1:

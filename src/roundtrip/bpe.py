@@ -22,6 +22,8 @@ class SubwordModel:
         # merges may come back from JSON as lists; the rank table keys tuples
         self.merges = [tuple(m) for m in self.merges]
         self._ranks = {pair: i for i, pair in enumerate(self.merges)}
+        # word -> its emitted pieces; batching segments the same words every epoch
+        self._pieces: dict[str, tuple[str, ...]] = {}
 
     def segment_word(self, word: str) -> list[str]:
         """Merge the word's lowest-ranked adjacent pair, leftmost first, until
@@ -42,9 +44,12 @@ class SubwordModel:
             return list(tokens)
         out: list[str] = []
         for tok in tokens:
-            pieces = self.segment_word(tok)
-            out.extend(p + "@@" for p in pieces[:-1])
-            out.append(pieces[-1])
+            pieces = self._pieces.get(tok)
+            if pieces is None:
+                split = self.segment_word(tok)
+                pieces = tuple(p + "@@" for p in split[:-1]) + (split[-1],)
+                self._pieces[tok] = pieces
+            out.extend(pieces)
         return out
 
 

@@ -74,7 +74,8 @@ def _build_parser() -> _Parser:
     cp.add_argument("--csv-out", help="append a CSV row here")
     cp.add_argument("--src", help="source file: report teacher-forced perplexity "
                                   "of the references (needs --checkpoint)")
-    cp.add_argument("--checkpoint", help="model for the perplexity report")
+    cp.add_argument("--checkpoint", help="model for the perplexity report "
+                                         "(needs --src)")
     cp.add_argument("--src-lang", default="l1")
     cp.add_argument("--tgt-lang", default="l2")
     cp.add_argument("--report", nargs=2, metavar=("BASELINE_DIR", "TREATMENT_DIR"),
@@ -82,8 +83,6 @@ def _build_parser() -> _Parser:
 
     gp = sub.add_parser("gradcheck", help="finite-difference gradient suite (fp64)")
     gp.add_argument("--seed", type=int, default=0)
-    gp.add_argument("--corrupt", action="store_true",
-                    help=argparse.SUPPRESS)  # negative-control test hook
     return p
 
 
@@ -192,6 +191,8 @@ def _read_bleu_runs(run_dir: str) -> dict[str, dict[int, float]]:
 
 
 def cmd_score(args) -> int:
+    if bool(args.src) != bool(args.checkpoint):
+        raise UsageError("--src and --checkpoint go together")
     if args.report:
         base = _read_bleu_runs(args.report[0])
         treat = _read_bleu_runs(args.report[1])
@@ -214,11 +215,13 @@ def cmd_score(args) -> int:
     if not refs:
         raise UsageError("empty reference file")
     bleu = corpus_bleu(hyps, refs)
-    print(f"BLEU = {bleu:.2f}")
-    if args.src and args.checkpoint:
+    ppl = None
+    if args.checkpoint:
         params, vocab, _ = ckpt_io.load(args.checkpoint)
         pairs = load_parallel(args.src, args.ref, args.src_lang, args.tgt_lang)
         ppl = perplexity(params, pairs, vocab)
+    print(f"BLEU = {bleu:.2f}")
+    if ppl is not None:
         print(f"perplexity = {ppl:.4f}")
     if args.csv_out:
         new = not os.path.exists(args.csv_out)
@@ -231,7 +234,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    reports = run_suite(seed=args.seed, corrupt=args.corrupt)
+    reports = run_suite(seed=args.seed)
     print(format_suite(reports))
     if all(r.ok for r in reports):
         print("gradient suite: PASS")
@@ -257,10 +260,7 @@ def main(argv=None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -202,9 +202,9 @@ def make_batches(corpus: Sequence[ParallelPair], vocab: Vocab, batch_size: int,
             for i in range(0, len(shuffled), batch_size)]
 
 
-def load_parallel(src_path: str, tgt_path: str, src_lang: str, tgt_lang: str,
-                  lowercase: bool = True) -> list[ParallelPair]:
-    """Read two aligned one-sentence-per-line files into tagged pairs."""
+def load_parallel(src_path: str, tgt_path: str, src_lang: str,
+                  tgt_lang: str) -> list[ParallelPair]:
+    """Read two aligned one-sentence-per-line files into lowercased tagged pairs."""
     with open(src_path, encoding="utf-8") as fh:
         src_lines = fh.read().splitlines()
     with open(tgt_path, encoding="utf-8") as fh:
@@ -214,9 +214,7 @@ def load_parallel(src_path: str, tgt_path: str, src_lang: str, tgt_lang: str,
             f"corpus sides differ in length: {len(src_lines)} vs {len(tgt_lines)}")
     pairs = []
     for s, t in zip(src_lines, tgt_lines):
-        if lowercase:
-            s, t = s.lower(), t.lower()
-        s_toks, t_toks = tuple(s.split()), tuple(t.split())
+        s_toks, t_toks = tuple(s.lower().split()), tuple(t.lower().split())
         if not s_toks or not t_toks:
             continue
         pairs.append(ParallelPair(TaggedSentence(src_lang, s_toks),

@@ -133,15 +133,13 @@ def _search(params: ModelParams, src_ids: np.ndarray, src_mask: np.ndarray,
 _TOKENIZE_RE = re.compile(r"([!-/:-@\[-`{-~])")
 
 
-def tokenize_13a_approx(line: str, lowercase: bool = True) -> list[str]:
-    """Whitespace tokenization with ASCII punctuation split off.
+def tokenize_13a_approx(line: str) -> list[str]:
+    """Lowercasing whitespace tokenization with ASCII punctuation split off.
 
     Approximates the standard "13a" scheme closely enough for toy corpora;
     exact scorer parity is out of scope.
     """
-    if lowercase:
-        line = line.lower()
-    return _TOKENIZE_RE.sub(r" \1 ", line).split()
+    return _TOKENIZE_RE.sub(r" \1 ", line.lower()).split()
 
 
 @dataclass
@@ -163,12 +161,6 @@ class BleuStats:
             self.matches[n - 1] += sum(min(c, ref_ngrams[g])
                                        for g, c in hyp_ngrams.items())
 
-    def merge(self, other: "BleuStats") -> "BleuStats":
-        return BleuStats([a + b for a, b in zip(self.matches, other.matches)],
-                         [a + b for a, b in zip(self.totals, other.totals)],
-                         self.hyp_len + other.hyp_len,
-                         self.ref_len + other.ref_len)
-
     def score(self) -> float:
         # orders the hypotheses are too short to populate are skipped, so an
         # identical corpus scores 100 regardless of sentence length; a zero
@@ -182,17 +174,15 @@ class BleuStats:
         return 100.0 * bp * math.exp(log_prec)
 
 
-def corpus_bleu(hypotheses: list[str], references: list[str],
-                lowercase: bool = True) -> float:
-    """Corpus-level 4-gram BLEU with brevity penalty, case-insensitive by default."""
+def corpus_bleu(hypotheses: list[str], references: list[str]) -> float:
+    """Corpus-level 4-gram BLEU with brevity penalty, case-insensitive."""
     if len(hypotheses) != len(references):
         raise ValueError("hypothesis/reference counts differ")
     if not hypotheses:
         raise ValueError("empty corpus")
     stats = BleuStats()
     for hyp, ref in zip(hypotheses, references):
-        stats.update(tokenize_13a_approx(hyp, lowercase),
-                     tokenize_13a_approx(ref, lowercase))
+        stats.update(tokenize_13a_approx(hyp), tokenize_13a_approx(ref))
     return stats.score()
 
 
@@ -205,6 +195,8 @@ def perplexity(params: ModelParams, corpus: list[ParallelPair], vocab: Vocab,
     """exp(mean per-token teacher-forced NLL), dropout off."""
     from .model import teacher_forced_nll
 
+    if not corpus:
+        raise ValueError("empty corpus")
     total, tokens = 0.0, 0.0
     for i in range(0, len(corpus), batch_size):
         batch = make_batch(vocab, corpus[i: i + batch_size])
@@ -239,8 +231,7 @@ def decode_corpus(params: ModelParams, vocab: Vocab, pairs: list[ParallelPair],
 
 
 def evaluate_bleu(params: ModelParams, vocab: Vocab, pairs: list[ParallelPair],
-                  config: DecodeConfig | None = None) -> float:
-    config = config or DecodeConfig()
+                  config: DecodeConfig) -> float:
     hyps = decode_corpus(params, vocab, pairs, config)
     refs = [" ".join(p.target.tokens) for p in pairs]
     return corpus_bleu(hyps, refs)

@@ -252,7 +252,7 @@ def attend(dec: DecoderParams, state_h: Tensor, memory: Memory) -> tuple[Tensor,
     scores = ad.matmul(ad.tanh(ad.add(memory.ann_keys, ad.reshape(q, (B, 1, -1)))),
                        dec.att.v)
     scores = ad.add(scores, memory.neg_inf)
-    alpha = ad.stable_softmax(scores, axis=-1)
+    alpha = ad.stable_softmax(scores)
     context = ad.reshape(ad.bmm(ad.reshape(alpha, (B, 1, S)), memory.annotations),
                          (B, dec.d_ann))
     return context, alpha
@@ -320,12 +320,10 @@ def sequence_nll(dec: DecoderParams, memory: Memory, tgt_ids: np.ndarray,
 
 
 def teacher_forced_nll(params: ModelParams, src_ids: np.ndarray, src_mask: np.ndarray,
-                       tgt_ids: np.ndarray, tgt_mask: np.ndarray, bos_id: int,
-                       train: bool = False, rng: np.random.Generator | None = None):
-    """Encode then score the target under teacher forcing; returns
-    (loss_sum, n_tokens)."""
-    enc = encode(params, src_ids, src_mask, train=train, rng=rng)
+                       tgt_ids: np.ndarray, tgt_mask: np.ndarray, bos_id: int):
+    """Encode then score the target under teacher forcing, dropout off;
+    returns (loss_sum, n_tokens)."""
+    enc = encode(params, src_ids, src_mask)
     loss_sum, n_tokens, _ = sequence_nll(
-        params.dec, prepare_memory(params.dec, enc), tgt_ids, tgt_mask, bos_id,
-        train=train, rng=rng)
+        params.dec, prepare_memory(params.dec, enc), tgt_ids, tgt_mask, bos_id)
     return loss_sum, n_tokens

@@ -108,7 +108,6 @@ class SampledSequence:
     """Per-step straight-through samples plus bookkeeping for the return pass."""
 
     steps: list[Tensor]            # each (B, V): hard one-hot forward values
-    soft: list[np.ndarray]         # each (B, V): the softmax surrogates
     mask: np.ndarray               # (B, T) 1.0 up to and including EOS/cap
     lengths: np.ndarray            # (B,)
     truncated: np.ndarray          # (B,) bool: cap hit before EOS
@@ -140,7 +139,6 @@ def sample_translation(params: ModelParams, src_ids: np.ndarray, src_mask: np.nd
     truncated = np.zeros(B, dtype=bool)
     lengths = np.zeros(B, dtype=int)
     steps: list[Tensor] = []
-    softs: list[np.ndarray] = []
 
     prev_ids: np.ndarray | None = np.full(B, bos_id, dtype=np.int64)
     prev_dist: Tensor | None = None
@@ -148,9 +146,8 @@ def sample_translation(params: ModelParams, src_ids: np.ndarray, src_mask: np.nd
         logits, state = decode_step(params.dec, state, memory, prev_ids=prev_ids,
                                     prev_dist=prev_dist, train=train, rng=rng)
         g = noise.draw(logits.shape)
-        st, soft = stgs_combine(logits, g, cfg.tau, soft_forward=soft_forward)
+        st, _ = stgs_combine(logits, g, cfg.tau, soft_forward=soft_forward)
         steps.append(st)
-        softs.append(soft)
 
         hard_ids = (logits.data + g).argmax(axis=-1)
         active = ~done
@@ -166,4 +163,4 @@ def sample_translation(params: ModelParams, src_ids: np.ndarray, src_mask: np.nd
 
     T = len(steps)
     mask = (np.arange(T)[None, :] < lengths[:, None]).astype(ad.default_dtype())
-    return SampledSequence(steps, softs, mask, lengths, truncated)
+    return SampledSequence(steps, mask, lengths, truncated)

@@ -275,6 +275,10 @@ class Trainer:
             raise ValueError("fine-tuning requires an initial checkpoint")
         if phase == "pretrain" and cfg.recon_mode != "none":
             raise PhaseError("reconstruction objectives require the fine-tune phase")
+        if not train_pairs:
+            raise ValueError("the training corpus has no pairs")
+        if not dev_pairs:
+            raise ValueError("the dev corpus has no pairs")
         self.cfg = cfg
         self.vocab = vocab
         self.phase = phase

@@ -1,8 +1,10 @@
 """Subword model learning and reversibility."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from roundtrip.bpe import desegment, learn_subword_model
+from roundtrip.bpe import SubwordModel, desegment, learn_subword_model
 
 
 def test_single_merge_from_hand_counted_pairs():
@@ -59,3 +61,19 @@ def test_joint_pooling_sees_both_sides():
 def test_negative_merges_rejected():
     with pytest.raises(ValueError):
         learn_subword_model([["ab"]], merges=-1)
+
+
+_symbols = st.text("abc", min_size=1, max_size=2)
+
+
+@given(st.lists(st.tuples(_symbols, _symbols), min_size=1, max_size=8),
+       st.lists(st.text("abcd", min_size=1, max_size=7), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_memoized_segment_matches_segment_word(merges, words):
+    model = SubwordModel(merges)
+    expected = []
+    for word in words:
+        pieces = model.segment_word(word)
+        expected += [p + "@@" for p in pieces[:-1]] + [pieces[-1]]
+    assert model.segment(words) == expected
+    assert model.segment(words) == expected  # every word now from the memo

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior and config round-trips."""
 
+import argparse
+import ast
 import contextlib
 import io
 import json
@@ -12,7 +14,7 @@ import pytest
 
 from roundtrip import autodiff as ad
 from roundtrip import checkpoint as ckpt_io
-from roundtrip import cli, evaluation
+from roundtrip import cli, evaluation, verification
 from roundtrip.cli import main
 from roundtrip.config import RunConfig, load_config, parse_config, serialize_config
 from roundtrip.data import (ParallelPair, TaggedSentence, Vocab,
@@ -20,6 +22,7 @@ from roundtrip.data import (ParallelPair, TaggedSentence, Vocab,
 from roundtrip.evaluation import corpus_bleu, decode_corpus
 from roundtrip.model import ModelParams
 from roundtrip.synth import generate_corpus, translate_tokens
+from roundtrip.verification import ComponentReport
 
 
 def run_cli(*argv):
@@ -174,6 +177,18 @@ class TestTrainCommands:
         cfg_path = write_config(tmp_path, corpus_dir, train_src="/nonexistent")
         assert run_cli("train", "--config", cfg_path,
                        "--out-dir", str(tmp_path / "x")) == 1
+
+    @pytest.mark.parametrize("split,named", [("train", "training"), ("dev", "dev")])
+    def test_empty_corpus_rejected_before_training(self, tmp_path, corpus_dir,
+                                                   capsys, split, named):
+        for side in ("l1", "l2"):
+            open(f"{corpus_dir}/{split}.{side}", "w").close()
+        cfg_path = write_config(tmp_path, corpus_dir)
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg_path, "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"the {named} corpus has no pairs" in err
+        assert not list(out.glob("*.npz"))
 
     def test_checkpoint_without_tags_or_merges_still_loads(self, tmp_path, corpus_dir):
         # a checkpoint written before the header carried the vocab's tags and
@@ -338,6 +353,19 @@ class TestScore:
                        "--src-lang", "en") == 1
         captured = capsys.readouterr()
         assert "'en'" in captured.err and "perplexity" not in captured.out
+        assert "BLEU" not in captured.out
+
+    def test_src_and_checkpoint_go_together(self, tmp_path, copy_model, capsys):
+        params, vocab, _ = copy_model
+        ckpt = str(tmp_path / "model.npz")
+        ckpt_io.save(ckpt, params, vocab, "fp32")
+        text = tmp_path / "text.txt"
+        text.write_text("w1 w2\n")
+        for flag, value in (("--src", str(text)), ("--checkpoint", ckpt)):
+            assert run_cli("score", "--hyp", str(text), "--ref", str(text),
+                           flag, value) == 1
+            captured = capsys.readouterr()
+            assert "go together" in captured.err and "BLEU" not in captured.out
 
     def test_identical_files_score_100(self, tmp_path, capsys):
         f = tmp_path / "text.txt"
@@ -428,9 +456,26 @@ class TestGradcheckCommand:
         assert "PASS" in out
         assert "end_to_end_lt_lr" in out
 
-    def test_corrupted_gradient_detected(self, capsys):
-        assert run_cli("gradcheck", "--seed", "0", "--corrupt") == 2
+    def test_failing_check_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_suite",
+                            lambda seed: [ComponentReport("tanh", 0.5)])
+        assert run_cli("gradcheck", "--seed", "0") == 2
         assert "FAIL" in capsys.readouterr().out
+
+    def test_corrupted_backward_fails_its_checks(self, monkeypatch):
+        # negative control: a tanh whose backward is 1.5x too large fails its
+        # own check and that of the decoder step, which runs tanh inside
+        def skewed_tanh(a):
+            out = ad.Tensor(np.tanh(a.data))
+            y = out.data
+            return ad.record(out, (a,), lambda g: (1.5 * (1.0 - y * y) * g,))
+
+        monkeypatch.setattr(ad, "tanh", skewed_tanh)
+        with ad.using_dtype("fp64"):
+            reports = {r.name: r for r in verification.primitive_checks(0)}
+            step = verification.decode_step_check(0)
+        assert not reports["tanh"].ok and not step.ok
+        assert reports["sigmoid"].ok
 
     def test_repeated_runs_identical_report(self, gradcheck_seed0, capsys):
         run_cli("gradcheck", "--seed", "0")
@@ -477,6 +522,27 @@ class TestConfig:
         section = text.split("## Config keys", 1)[1].split("\n## ", 1)[0]
         named = set(re.findall(r"`([a-z_][a-z0-9_]*)`", section))
         assert named == {f.name for f in fields(RunConfig)}
+
+    def test_every_config_key_and_option_is_read(self):
+        # a key or flag that no program code reads is an option nothing uses
+        src = os.path.join(os.path.dirname(__file__), "..", "src", "roundtrip")
+        read = set()
+        for name in os.listdir(src):
+            if name.endswith(".py"):
+                tree = ast.parse(open(os.path.join(src, name), encoding="utf-8").read())
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                        read.add(node.attr)
+                    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                          and node.func.id == "getattr" and len(node.args) > 1
+                          and isinstance(node.args[1], ast.Constant)):
+                        read.add(node.args[1].value)
+        subparsers = next(a for a in cli._build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for p in subparsers.choices.values() for a in p._actions
+                 if a.dest != "help"}
+        assert {f.name for f in fields(RunConfig)} - read == set()
+        assert dests - read == set()
 
 
 def test_usage_error_exits_one():

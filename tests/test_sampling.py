@@ -190,14 +190,9 @@ class TestSampleTranslation:
         noise = GumbelNoiseSource(1.0, 5)
         seq = sample_translation(params, src_ids, src_mask, noise,
                                  STGSConfig(tau=2.0), bos_id=1, eos_id=2)
-        for st, soft in zip(seq.steps, seq.soft):
+        for st in seq.steps:
             assert np.all((st.data == 0.0) | (st.data == 1.0))
             np.testing.assert_array_equal(st.data.sum(axis=-1), 1.0)
-            assert np.all(soft >= 0)
-            np.testing.assert_allclose(soft.sum(axis=-1), 1.0, atol=1e-9)
-            hard_from_soft_source = st.data.argmax(-1)
-            assert st.data.shape == soft.shape
-            del hard_from_soft_source
 
     def test_cap_truncates_and_flags(self, fp64):
         params = tiny_params(seed=2)
