@@ -250,16 +250,6 @@ def tanh(a: Tensor) -> Tensor:
     return record(out, (a,), lambda g: ((1.0 - y * y) * g,))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    # exp only ever sees non-positive arguments, so no overflow
-    e = np.exp(-np.abs(x))
-    y = np.where(x >= 0, 1.0, e) / (1.0 + e)
-    out = Tensor(y)
-    y = out.data
-    return record(out, (a,), lambda g: (y * (1.0 - y) * g,))
-
-
 def stable_softmax(a: Tensor) -> Tensor:
     """Shift-invariant softmax along the last axis; rejects non-finite input."""
     x = a.data
@@ -280,34 +270,103 @@ def stable_softmax(a: Tensor) -> Tensor:
     return record(out, (a,), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float = 1e-6) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
-    n = x.shape[-1] if x.ndim else 0
-    if n == 0:
-        raise ValueError("layer_norm over a zero-length axis")
-    if gain.shape != (n,) or bias.shape != (n,):
-        raise ValueError(f"gain/bias must have shape ({n},)")
-    # sum / n is the value ndarray.mean gives, without its Python wrapper
-    mu = x.data.sum(axis=-1, keepdims=True) / n
-    centered = x.data - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) / n
-    inv_std = 1.0 / np.sqrt(var + epsilon)
-    xhat = centered * inv_std
-    out = Tensor(xhat * gain.data + bias.data)
-    g_data = gain.data
+LN_EPSILON = 1e-6
 
-    def bwd(g):
-        gx_hat = g * g_data
-        # d/dx of (x - mu) * inv_std with mu, var both functions of x
-        m1 = gx_hat.sum(axis=-1, keepdims=True) / n
-        m2 = (gx_hat * xhat).sum(axis=-1, keepdims=True) / n
-        gx = inv_std * (gx_hat - m1 - xhat * m2)
-        lead = tuple(range(g.ndim - 1))
-        ggain = (g * xhat).sum(axis=lead)
-        gbias = g.sum(axis=lead)
-        return gx, ggain, gbias
 
-    return record(out, (x, gain, bias), bwd)
+def lstm_cell(x: Tensor, h: Tensor, c: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor,
+              ln_gain: Tensor | None = None, ln_bias: Tensor | None = None,
+              keep: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """One LSTM step recorded as two nodes, c then h; returns (h_new, c_new).
+
+    The pre-activation (x@Wx + h@Wh) + b, layer-normalized over its 4H
+    columns when ln_gain and ln_bias are given, holds the gates in the order
+    (input, forget, cell, output): c_new = σ(f)·c + σ(i)·tanh(g) and
+    h_new = σ(o)·tanh(c_new). In the rows where the 0/1 column `keep` (B, 1)
+    is 0, h and c pass through unchanged, as the encoder carries its state
+    over padding.
+
+    Values and gradients round exactly as those of the same step built op by
+    op (matmuls, adds, layer norm, per-gate slices, sigmoid, tanh, mul and
+    the blend new·keep + old·(1 - keep)), so seeded runs match that graph
+    bit for bit.
+    """
+    if c.ndim != 2 or c.shape[1] == 0:
+        raise ValueError(f"lstm_cell state must be (B, H) with H >= 1, got {c.shape}")
+    B, n = c.shape
+    if (x.ndim != 2 or x.shape[0] != B or h.shape != (B, n)
+            or Wx.shape != (x.shape[1], 4 * n) or Wh.shape != (n, 4 * n)
+            or b.shape != (4 * n,)):
+        raise ValueError(f"lstm_cell shapes x {x.shape}, h {h.shape}, c {c.shape}, "
+                         f"Wx {Wx.shape}, Wh {Wh.shape}, b {b.shape}")
+    ln = () if ln_gain is None else (ln_gain, ln_bias)
+    if any(t is None or t.shape != (4 * n,) for t in ln):
+        raise ValueError(f"layer norm gain and bias must both have shape ({4 * n},)")
+    if keep is not None and np.shape(keep) != (B, 1):
+        raise ValueError(f"keep must be a (B, 1) column, got {np.shape(keep)}")
+
+    x_data, h_data, c_data = x.data, h.data, c.data
+    pre = np.asarray(x_data @ Wx.data + h_data @ Wh.data + b.data, dtype=_default_dtype)
+    if ln:
+        width = 4 * n
+        # sum / width is the value ndarray.mean gives, without its Python wrapper
+        mu = pre.sum(axis=-1, keepdims=True) / width
+        centered = pre - mu
+        var = (centered * centered).sum(axis=-1, keepdims=True) / width
+        inv_std = 1.0 / np.sqrt(var + LN_EPSILON)
+        xhat = centered * inv_std
+        pre = xhat * ln_gain.data + ln_bias.data
+    # sigmoid of all four blocks at once (the cell block's goes unused); exp
+    # only ever sees non-positive arguments, so no overflow
+    e = np.exp(-np.abs(pre))
+    s = np.where(pre >= 0, 1.0, e) / (1.0 + e)
+    i, f, o = s[:, :n], s[:, n: 2 * n], s[:, 3 * n:]
+    g = np.tanh(pre[:, 2 * n: 3 * n])
+    c_new = f * c_data + i * g
+    tc = np.tanh(c_new)
+    h_new = o * tc
+    if keep is None:
+        c_out, h_out = Tensor(c_new), Tensor(h_new)
+    else:
+        m = np.asarray(keep, dtype=_default_dtype)
+        inv = np.asarray(1.0 - keep, dtype=_default_dtype)
+        c_out = Tensor(c_new * m + c_data * inv)
+        h_out = Tensor(h_new * m + h_data * inv)
+
+    # the h node runs first in backward; it hands the c node the output
+    # gate's share of the pre-activation gradient
+    o_grad: list[np.ndarray] = []
+
+    def bwd_c(g_out):
+        # with keep, g_out is the carried c's gradient plus the h node's
+        # tanh(c_new) term; in 1 rows that is c_new's gradient, in 0 rows
+        # both terms of c_new's gradient are zero
+        gc = g_out if keep is None else g_out * m
+        gpre = np.empty(s.shape, dtype=gc.dtype)
+        gpre[:, :n] = i * (1.0 - i) * (gc * g)
+        gpre[:, n: 2 * n] = f * (1.0 - f) * (gc * c_data)
+        gpre[:, 2 * n: 3 * n] = (1.0 - g * g) * (gc * i)
+        gpre[:, 3 * n:] = o_grad.pop() if o_grad else 0.0
+        g_c = gc * f if keep is None else g_out * inv + gc * f
+        ln_grads = ()
+        if ln:
+            ln_grads = ((gpre * xhat).sum(axis=0), gpre.sum(axis=0))
+            gx_hat = gpre * ln_gain.data
+            # d/dx of (x - mu) * inv_std with mu, var both functions of x
+            m1 = gx_hat.sum(axis=-1, keepdims=True) / width
+            m2 = (gx_hat * xhat).sum(axis=-1, keepdims=True) / width
+            gpre = inv_std * (gx_hat - m1 - xhat * m2)
+        return (gpre @ Wx.data.T, gpre @ Wh.data.T, g_c, x_data.T @ gpre,
+                h_data.T @ gpre, gpre.sum(axis=0)) + ln_grads
+
+    def bwd_h(g_out):
+        gh = g_out if keep is None else g_out * m
+        o_grad.append(o * (1.0 - o) * (gh * tc))
+        g_c = (1.0 - tc * tc) * (gh * o)
+        return (g_c,) if keep is None else (g_c, g_out * inv)
+
+    record(c_out, (x, h, c, Wx, Wh, b) + ln, bwd_c)
+    record(h_out, (c_out,) if keep is None else (c_out, h), bwd_h)
+    return h_out, c_out
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -386,20 +445,6 @@ def stack(xs: Sequence[Tensor], axis: int) -> Tensor:
         return tuple(np.moveaxis(g, axis, 0))
 
     return record(out, tuple(xs), bwd)
-
-
-def slice_axis(x: Tensor, start: int, stop: int) -> Tensor:
-    """Columns start:stop of the last axis."""
-    index = (..., slice(start, stop))
-    out = Tensor(x.data[index])
-    x_shape = x.shape
-
-    def bwd(g):
-        gx = np.zeros(x_shape, dtype=g.dtype)
-        gx[index] = g
-        return (gx,)
-
-    return record(out, (x,), bwd)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

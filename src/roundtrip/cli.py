@@ -107,7 +107,7 @@ def _load_data(cfg: RunConfig):
         subword = learn_subword_model(streams, cfg.bpe_merges)
     # the length filter counts post-segmentation tokens, tag excluded
     train_pairs = filter_by_length(train_pairs, cfg.max_len_filter, subword)
-    vocab = Vocab.build(build_bidirectional_corpus(train_pairs), subword.merges)
+    vocab = Vocab.build(build_bidirectional_corpus(train_pairs), subword)
     return train_pairs, dev_pairs, vocab
 
 

@@ -130,10 +130,11 @@ class Vocab:
 
     @classmethod
     def build(cls, pairs: Sequence[ParallelPair],
-              merges: Sequence[tuple[str, str]] = ()) -> "Vocab":
-        """Vocabulary over both sides' pieces, ordered by frequency, after
-        the pairs' language tags, sorted."""
-        subword = SubwordModel(merges)
+              subword: SubwordModel = SubwordModel()) -> "Vocab":
+        """Vocabulary over both sides' pieces as `subword` segments them,
+        ordered by frequency, after the pairs' language tags, sorted. The
+        vocab keeps `subword`, so a word that model has segmented already is
+        not segmented again."""
         counts: Counter[str] = Counter()
         tags = set()
         for p in pairs:
@@ -142,7 +143,9 @@ class Vocab:
             counts.update(subword.segment(p.source.tokens))
             counts.update(subword.segment(p.target.tokens))
         ordered = [t for t, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
-        return cls(sorted(tags) + ordered, sorted(tags), subword.merges)
+        vocab = cls(sorted(tags) + ordered, sorted(tags), subword.merges)
+        vocab.subword = subword
+        return vocab
 
 
 @dataclass

@@ -16,9 +16,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-LN_EPSILON = 1e-6
-
-
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -53,7 +50,6 @@ class LstmCellParams:
         else:
             self.ln_gain = None
             self.ln_bias = None
-        self.d_hidden = h
 
     def named(self, prefix: str):
         yield f"{prefix}.Wx", self.Wx
@@ -63,18 +59,11 @@ class LstmCellParams:
             yield f"{prefix}.ln_gain", self.ln_gain
             yield f"{prefix}.ln_bias", self.ln_bias
 
-    def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        pre = ad.add(ad.add(ad.matmul(x, self.Wx), ad.matmul(h, self.Wh)), self.b)
-        if self.ln_gain is not None:
-            pre = ad.layer_norm(pre, self.ln_gain, self.ln_bias, LN_EPSILON)
-        n = self.d_hidden
-        i = ad.sigmoid(ad.slice_axis(pre, 0, n))
-        f = ad.sigmoid(ad.slice_axis(pre, n, 2 * n))
-        g = ad.tanh(ad.slice_axis(pre, 2 * n, 3 * n))
-        o = ad.sigmoid(ad.slice_axis(pre, 3 * n, 4 * n))
-        c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h_new = ad.mul(o, ad.tanh(c_new))
-        return h_new, c_new
+    def step(self, x: Tensor, h: Tensor, c: Tensor,
+             keep: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+        """(h_new, c_new); rows where the 0/1 column `keep` is 0 keep h and c."""
+        return ad.lstm_cell(x, h, c, self.Wx, self.Wh, self.b,
+                            self.ln_gain, self.ln_bias, keep)
 
 
 class AttentionParams:
@@ -172,14 +161,6 @@ class DecoderState:
     cell: Tensor
 
 
-def _masked_carry(new: Tensor, old: Tensor, mask_col: np.ndarray) -> Tensor:
-    """new * m + old * (1 - m) as one node; m is 0/1 per row."""
-    m = np.asarray(mask_col, dtype=ad.default_dtype())
-    inv = np.asarray(1.0 - mask_col, dtype=ad.default_dtype())
-    out = Tensor(new.data * m + old.data * inv)
-    return ad.record(out, (new, old), lambda g: (g * m, g * inv))
-
-
 def _embed_step(E: Tensor, ids: np.ndarray | None, dist: Tensor | None) -> Tensor:
     """Previous-token embedding: hard id lookup or distribution-weighted rows."""
     if dist is not None:
@@ -216,10 +197,7 @@ def encode(params: ModelParams, src_ids: np.ndarray | None, src_mask: np.ndarray
         c = ad.constant(np.zeros((B, cfg.d_hidden)))
         states = [None] * S
         for t in order:
-            m = src_mask[:, t: t + 1]
-            h_new, c_new = cell.step(embs[t], h, c)
-            h = _masked_carry(h_new, h, m)
-            c = _masked_carry(c_new, c, m)
+            h, c = cell.step(embs[t], h, c, keep=src_mask[:, t: t + 1])
             states[t] = h
         return states, h
 

@@ -77,13 +77,13 @@ def gumbel_max_step(logits: np.ndarray, noise: np.ndarray) -> np.ndarray:
 
 
 def stgs_combine(logits: Tensor, noise: np.ndarray, tau: float,
-                 soft_forward: bool = False) -> tuple[Tensor, np.ndarray]:
+                 soft_forward: bool = False) -> Tensor:
     """Hard one-hot forward, tempered-softmax backward.
 
-    Returns (token_value, soft_distribution). The gradient of the token value
-    w.r.t. logits is exactly the gradient of softmax((logits+noise)/tau); with
-    soft_forward=True the forward value is the soft distribution itself, which
-    makes the whole sampling path finite-difference checkable.
+    Returns the token value. Its gradient w.r.t. logits is exactly the
+    gradient of softmax((logits+noise)/tau); with soft_forward=True the
+    forward value is that soft distribution itself, which makes the whole
+    sampling path finite-difference checkable.
     """
     if tau <= 0:
         raise ValueError("tau must be > 0")
@@ -99,8 +99,7 @@ def stgs_combine(logits: Tensor, noise: np.ndarray, tau: float,
         inner = (g * soft).sum(axis=-1, keepdims=True)
         return (soft * (g - inner) / tau,)
 
-    ad.record(out, (logits,), bwd)
-    return out, soft
+    return ad.record(out, (logits,), bwd)
 
 
 @dataclass
@@ -146,7 +145,7 @@ def sample_translation(params: ModelParams, src_ids: np.ndarray, src_mask: np.nd
         logits, state = decode_step(params.dec, state, memory, prev_ids=prev_ids,
                                     prev_dist=prev_dist, train=train, rng=rng)
         g = noise.draw(logits.shape)
-        st, _ = stgs_combine(logits, g, cfg.tau, soft_forward=soft_forward)
+        st = stgs_combine(logits, g, cfg.tau, soft_forward=soft_forward)
         steps.append(st)
 
         hard_ids = (logits.data + g).argmax(axis=-1)

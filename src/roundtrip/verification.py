@@ -1,10 +1,11 @@
 """Finite-difference verification suite run at fp64.
 
-Covers every differentiable primitive, one full decoder step, the tempered
-softmax surrogate of the sampler, and the end-to-end combined objective on a
-two-sentence batch. The sampler runs in soft-forward mode with termination at
-the cap, which makes the checked function smooth; the straight-through
-estimator shares that backward code path exactly.
+Covers every differentiable primitive, the encoder over a one-token source,
+one full decoder step, the tempered softmax surrogate of the sampler, and the
+end-to-end combined objective on a two-sentence batch. The sampler runs in
+soft-forward mode with termination at the cap, which makes the checked
+function smooth; the straight-through estimator shares that backward code
+path exactly.
 """
 
 from __future__ import annotations
@@ -59,18 +60,6 @@ def primitive_checks(seed: int = 0) -> list[ComponentReport]:
           lambda x: ad.reduce_sum(ad.mul(ad.stable_softmax(x), ad.constant(v6))),
           Tensor(rng.standard_normal(6), requires_grad=True))
 
-    gain = Tensor(rng.standard_normal(6), requires_grad=True)
-    bias = Tensor(rng.standard_normal(6), requires_grad=True)
-    x36 = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
-    w36 = ad.constant(rng.standard_normal((3, 6)))
-    check("layer_norm",
-          lambda x: ad.reduce_sum(ad.mul(ad.layer_norm(x, gain, bias, 1e-6), w36)),
-          x36)
-    ln_in = ad.constant(rng.standard_normal((3, 6)))
-    check("layer_norm_gain",
-          lambda g: ad.reduce_sum(ad.mul(ad.layer_norm(ln_in, g, bias, 1e-6), w36)),
-          gain)
-
     m64 = ad.constant(rng.standard_normal((6, 4)))
     w54 = ad.constant(rng.standard_normal((5, 4)))
     check("matmul",
@@ -93,9 +82,6 @@ def primitive_checks(seed: int = 0) -> list[ComponentReport]:
     v8a = ad.constant(rng.standard_normal(8))
     check("tanh", lambda x: ad.reduce_sum(ad.mul(ad.tanh(x), v8a)),
           Tensor(rng.standard_normal(8), requires_grad=True))
-    v8b = ad.constant(rng.standard_normal(8))
-    check("sigmoid", lambda x: ad.reduce_sum(ad.mul(ad.sigmoid(x), v8b)),
-          Tensor(rng.standard_normal(8), requires_grad=True))
     tail = ad.constant(rng.standard_normal((3, 2)))
     w35 = ad.constant(rng.standard_normal((3, 5)))
     check("concat",
@@ -116,7 +102,35 @@ def primitive_checks(seed: int = 0) -> list[ComponentReport]:
         return ad.reduce_sum(ad.dropout(x, 0.4, r))
 
     check("dropout", dropped, Tensor(rng.standard_normal(10), requires_grad=True))
+    reports.extend(lstm_cell_checks(rng, layer_norm=True))
+    reports.extend(lstm_cell_checks(rng, layer_norm=False))
     return reports
+
+
+def lstm_cell_checks(rng: np.random.Generator, layer_norm: bool) -> list[ComponentReport]:
+    """The fused cell over each of its inputs, with a `keep` column that
+    carries one row's state through. Both outputs feed the loss, which uses
+    no other nonlinearity, so the check depends on the cell alone."""
+    B, d_in, n = 3, 5, 4
+
+    def param(*shape):
+        return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+    inputs = {"x": param(B, d_in), "h": param(B, n), "c": param(B, n),
+              "Wx": param(d_in, 4 * n), "Wh": param(n, 4 * n), "b": param(4 * n)}
+    if layer_norm:
+        inputs["gain"], inputs["bias"] = param(4 * n), param(4 * n)
+    keep = np.array([[1.0], [0.0], [1.0]])
+    w_h = ad.constant(rng.standard_normal((B, n)))
+    w_c = ad.constant(rng.standard_normal((B, n)))
+
+    def loss() -> Tensor:
+        h, c = ad.lstm_cell(*inputs.values(), keep=keep)
+        return ad.add(ad.reduce_sum(ad.mul(h, w_h)), ad.reduce_sum(ad.mul(c, w_c)))
+
+    prefix = "lstm_cell_ln" if layer_norm else "lstm_cell"
+    return [ComponentReport(f"{prefix}.{name}", grad_check(lambda _t: loss(), t))
+            for name, t in inputs.items()]
 
 
 def tiny_model(seed: int = 0, vocab: int = 9, d: int = 4) -> ModelParams:
@@ -144,13 +158,31 @@ def decode_step_check(seed: int = 0) -> ComponentReport:
     return ComponentReport("decode_step", err)
 
 
+def encode_one_token_check(seed: int = 0) -> ComponentReport:
+    """The encoder over a one-token source (S=1) whose second row is padding."""
+    params = tiny_model(seed, vocab=7, d=4)
+    rng = np.random.default_rng([seed, 6])
+    src_ids = np.array([[4], [0]])
+    src_mask = np.array([[1.0], [0.0]])
+    w_ann = ad.constant(rng.standard_normal((2, 1, 8)))
+    w_sum = ad.constant(rng.standard_normal((2, 8)))
+
+    def build_loss() -> Tensor:
+        enc = encode(params, src_ids, src_mask)
+        return ad.add(ad.reduce_sum(ad.mul(enc.annotations, w_ann)),
+                      ad.reduce_sum(ad.mul(enc.summary, w_sum)))
+
+    encoder = [(n, p) for n, p in params.named_parameters() if not n.startswith("dec.")]
+    return ComponentReport("encode_one_token", check_over_params(build_loss, encoder))
+
+
 def stgs_soft_check(seed: int = 0) -> ComponentReport:
     rng = np.random.default_rng([seed, 9])
     noise = sample_gumbel((3, 6), 1.0, np.random.default_rng([seed, 10]))
     fixed = ad.constant(rng.standard_normal((3, 6)))
 
     def f(logits: Tensor) -> Tensor:
-        st, _ = stgs_combine(logits, noise, tau=2.0, soft_forward=True)
+        st = stgs_combine(logits, noise, tau=2.0, soft_forward=True)
         return ad.reduce_sum(ad.mul(st, fixed))
 
     point = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
@@ -184,6 +216,7 @@ def run_suite(seed: int = 0) -> list[ComponentReport]:
     """Full fp64 gradient suite."""
     with ad.using_dtype("fp64"):
         reports = primitive_checks(seed)
+        reports.append(encode_one_token_check(seed))
         reports.append(decode_step_check(seed))
         reports.append(stgs_soft_check(seed))
         reports.append(end_to_end_check(seed))

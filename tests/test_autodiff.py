@@ -55,35 +55,140 @@ class TestStableSoftmax:
         np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-9)
 
 
-class TestLayerNorm:
-    def test_constant_vector_maps_to_zero(self):
-        gain = Tensor(np.ones(3))
-        bias = Tensor(np.zeros(3))
-        out = ad.layer_norm(Tensor([4.2, 4.2, 4.2]), gain, bias, 1e-6)
-        np.testing.assert_allclose(out.data, [0.0, 0.0, 0.0])
+def _cell_inputs(rng, B=3, d_in=5, n=4, layer_norm=True):
+    """Random inputs of one cell step, as requires-grad tensors in call order."""
+    shapes = [(B, d_in), (B, n), (B, n), (d_in, 4 * n), (n, 4 * n), (4 * n,)]
+    if layer_norm:
+        shapes += [(4 * n,), (4 * n,)]
+    return [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
 
-    def test_already_normalized_is_identity(self, fp64):
-        gain = Tensor(np.ones(2))
-        bias = Tensor(np.zeros(2))
-        out = ad.layer_norm(Tensor([1.0, -1.0]), gain, bias, 0.0)
-        np.testing.assert_allclose(out.data, [1.0, -1.0], rtol=1e-12)
+
+def _op_by_op_cell(x, h, c, Wx, Wh, b, gain, bias, keep, g_h_out, g_c_out, g_h_later):
+    """The graph of separate ops the fused cell replaces, forward and backward,
+    in plain numpy: matmul, add, layer norm, per-gate slice, sigmoid, tanh,
+    mul and the masked blend, each backward as that op's node computes it and
+    each gradient summed in the order the tape visits the nodes.
+
+    g_h_out and g_c_out reach the outputs; g_h_later reaches h from an op
+    recorded after the step, so it is accumulated first."""
+    n = c.shape[1]
+    width = 4 * n
+
+    def sigmoid(z):
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+    pre0 = x @ Wx + h @ Wh + b
+    pre = pre0
+    if gain is not None:
+        mu = pre0.sum(axis=-1, keepdims=True) / width
+        centered = pre0 - mu
+        var = (centered * centered).sum(axis=-1, keepdims=True) / width
+        inv_std = 1.0 / np.sqrt(var + 1e-6)
+        xhat = centered * inv_std
+        pre = xhat * gain + bias
+    sl = [pre[:, k * n: (k + 1) * n] for k in range(4)]
+    i, f, g, o = sigmoid(sl[0]), sigmoid(sl[1]), np.tanh(sl[2]), sigmoid(sl[3])
+    c_new = f * c + i * g
+    tc = np.tanh(c_new)
+    h_new = o * tc
+    if keep is None:
+        h_out, c_out = h_new, c_new
+        g_h_new, g_c_new, grad_h, grad_c = g_h_out, g_c_out, g_h_later, None
+    else:
+        inv = 1.0 - keep
+        h_out, c_out = h_new * keep + h * inv, c_new * keep + c * inv
+        # the blends: c's is visited first, then h's
+        g_c_new, grad_c = g_c_out * keep, g_c_out * inv
+        g_h_new, grad_h = g_h_out * keep, g_h_later + g_h_out * inv
+    # h_new = o * tc, tc = tanh(c_new)
+    g_o, g_tc = g_h_new * tc, g_h_new * o
+    g_c_new = g_c_new + (1.0 - tc * tc) * g_tc
+    # c_new = f * c + i * g
+    g_i, g_g = g_c_new * g, g_c_new * i
+    g_f, g_cf = g_c_new * c, g_c_new * f
+    grad_c = g_cf if grad_c is None else grad_c + g_cf
+    gate_grads = [i * (1.0 - i) * g_i, f * (1.0 - f) * g_f,
+                  (1.0 - g * g) * g_g, o * (1.0 - o) * g_o]
+    g_pre = None
+    for k in (3, 2, 1, 0):  # the output gate's slice was recorded last
+        full = np.zeros_like(pre)
+        full[:, k * n: (k + 1) * n] = gate_grads[k]
+        g_pre = full if g_pre is None else g_pre + full
+    grads = {}
+    if gain is not None:
+        grads["gain"] = (g_pre * xhat).sum(axis=0)
+        grads["bias"] = g_pre.sum(axis=0)
+        gx_hat = g_pre * gain
+        m1 = gx_hat.sum(axis=-1, keepdims=True) / width
+        m2 = (gx_hat * xhat).sum(axis=-1, keepdims=True) / width
+        g_pre = inv_std * (gx_hat - m1 - xhat * m2)
+    grads["b"] = g_pre.sum(axis=0)
+    grads["Wh"], grads["h"] = h.T @ g_pre, grad_h + g_pre @ Wh.T
+    grads["Wx"], grads["x"] = x.T @ g_pre, g_pre @ Wx.T
+    grads["c"] = grad_c
+    return h_out, c_out, grads
+
+
+class TestLstmCell:
+    @pytest.mark.parametrize("precision", ["fp32", "fp64"])
+    @pytest.mark.parametrize("layer_norm", [True, False])
+    @pytest.mark.parametrize("keep", [None, [[1.0], [0.0], [1.0]]])
+    def test_matches_op_by_op_graph_bit_for_bit(self, precision, layer_norm, keep):
+        with ad.using_dtype(precision):
+            rng = np.random.default_rng(13)
+            inputs = _cell_inputs(rng, layer_norm=layer_norm)
+            w_h, w_c, w_later = (ad.constant(rng.standard_normal((3, 4))) for _ in range(3))
+            keep = None if keep is None else np.array(keep)
+            with Tape() as tape:
+                h_out, c_out = ad.lstm_cell(*inputs, keep=keep)
+                loss = ad.add(ad.add(ad.reduce_sum(ad.mul(h_out, w_h)),
+                                     ad.reduce_sum(ad.mul(c_out, w_c))),
+                              ad.reduce_sum(ad.mul(inputs[1], w_later)))
+            backward(tape, loss)
+            data = [t.data for t in inputs] + [None] * (8 - len(inputs))
+            ref_h, ref_c, ref_grads = _op_by_op_cell(
+                *data, None if keep is None else keep.astype(inputs[0].data.dtype),
+                w_h.data, w_c.data, w_later.data)
+        names = ["x", "h", "c", "Wx", "Wh", "b", "gain", "bias"]
+        for got, want in [(h_out.data, ref_h), (c_out.data, ref_c)] + [
+                (t.grad, ref_grads[name]) for name, t in zip(names, inputs)]:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_one_step_records_two_nodes(self):
+        inputs = _cell_inputs(np.random.default_rng(0))
+        with Tape() as tape:
+            ad.lstm_cell(*inputs, keep=np.ones((3, 1)))
+        assert len(tape.nodes) == 2
+
+
+class TestLayerNorm:
+    """The layer norm inside the fused cell."""
+
+    def test_constant_vector_maps_to_zero(self):
+        # a constant pre-activation row normalizes to zero, so each gate
+        # is its layer-norm bias: sigmoid(0) = 0.5 and tanh(0) = 0
+        x, h, c, Wx, Wh, b, gain, bias = _cell_inputs(np.random.default_rng(2), B=1)
+        Wx.data[:], Wh.data[:], b.data[:] = 0.0, 0.0, 4.2
+        gain.data[:], bias.data[:] = 1.0, 0.0
+        h_out, c_out = ad.lstm_cell(x, h, c, Wx, Wh, b, gain, bias)
+        np.testing.assert_allclose(c_out.data, 0.5 * c.data)
+        np.testing.assert_allclose(h_out.data, 0.5 * np.tanh(0.5 * c.data))
 
     def test_zero_length_axis_errors(self):
+        # a zero-width state would normalize over a zero-length axis
         with pytest.raises(ValueError):
-            ad.layer_norm(Tensor(np.zeros((2, 0))), Tensor(np.zeros(0)),
-                          Tensor(np.zeros(0)), 1e-6)
+            ad.lstm_cell(*_cell_inputs(np.random.default_rng(3), n=0))
 
     def test_gradient_on_random_vector(self, fp64):
-        rng = np.random.default_rng(1)
-        gain = ad.constant(rng.standard_normal(8))
-        bias = ad.constant(rng.standard_normal(8))
-        w = ad.constant(rng.standard_normal(8))
+        x, h, c, Wx, Wh, b, gain, bias = _cell_inputs(np.random.default_rng(1), B=1)
+        w = ad.constant(np.random.default_rng(4).standard_normal((1, 4)))
 
-        def f(x):
-            return ad.reduce_sum(ad.mul(ad.layer_norm(x, gain, bias, 1e-6), w))
+        def f(point):
+            h_out, _ = ad.lstm_cell(point, h, c, Wx, Wh, b, gain, bias)
+            return ad.reduce_sum(ad.mul(h_out, w))
 
-        point = Tensor(rng.standard_normal(8), requires_grad=True)
-        assert grad_check(f, point, 1e-5) < 1e-6
+        assert grad_check(f, x, 1e-5) < 1e-6
 
 
 class TestBackward:
@@ -111,7 +216,7 @@ class TestBackward:
 
         def f(x):
             h = ad.tanh(ad.matmul(x, w1))
-            out = ad.sigmoid(ad.matmul(h, w2))
+            out = ad.tanh(ad.matmul(h, w2))
             return ad.reduce_sum(ad.mul(out, v))
 
         point = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
@@ -199,24 +304,29 @@ class TestGradCheckOracle:
             grad_check(lambda x: ad.reduce_sum(x), Tensor([1.0]), 0.0)
 
 
+def _cell_over_h(rng):
+    """The cell as a function of h, whose gradient has a matmul part in the
+    kept row and a carried part in the other."""
+    x, h, c, *weights = _cell_inputs(rng, B=2, d_in=3, n=2)
+    w = ad.constant(rng.standard_normal((2, 2)))
+    keep = np.array([[1.0], [0.0]])
+
+    def f(point):
+        h_out, c_out = ad.lstm_cell(x, point, c, *weights, keep=keep)
+        return ad.reduce_sum(ad.mul(ad.add(h_out, c_out), w))
+
+    return f, h
+
+
 PRIMS = {
     "tanh": lambda rng: (lambda x: ad.reduce_sum(ad.tanh(x)),
                          Tensor(rng.standard_normal(5), requires_grad=True)),
-    "sigmoid": lambda rng: (lambda x: ad.reduce_sum(ad.sigmoid(x)),
-                            Tensor(rng.standard_normal(5), requires_grad=True)),
     "matmul": lambda rng: (
         (lambda m: (lambda x: ad.reduce_sum(ad.matmul(x, m))))(
             ad.constant(rng.standard_normal((4, 3)))),
         Tensor(rng.standard_normal((2, 4)), requires_grad=True)),
     "softmax": lambda rng: (
         (lambda w: (lambda x: ad.reduce_sum(ad.mul(ad.stable_softmax(x), w))))(
-            ad.constant(rng.standard_normal(6))),
-        Tensor(rng.standard_normal(6), requires_grad=True)),
-    "layer_norm": lambda rng: (
-        (lambda g, b, w: (lambda x: ad.reduce_sum(
-            ad.mul(ad.layer_norm(x, g, b, 1e-6), w))))(
-            ad.constant(rng.standard_normal(6)),
-            ad.constant(rng.standard_normal(6)),
             ad.constant(rng.standard_normal(6))),
         Tensor(rng.standard_normal(6), requires_grad=True)),
     "cross_entropy": lambda rng: (
@@ -227,6 +337,7 @@ PRIMS = {
             ad.mul(ad.embedding(E, np.array([0, 2, 0])), w))))(
             ad.constant(rng.standard_normal((3, 3)))),
         Tensor(rng.standard_normal((4, 3)), requires_grad=True)),
+    "lstm_cell": _cell_over_h,
     "concat": lambda rng: (
         (lambda t: (lambda x: ad.reduce_sum(ad.concat([x, t], axis=-1))))(
             ad.constant(rng.standard_normal((2, 2)))),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roundtrip import autodiff as ad
-from roundtrip.bpe import learn_subword_model
+from roundtrip.bpe import SubwordModel, learn_subword_model
 from roundtrip.data import (ParallelPair, TaggedSentence, Vocab,
                             build_bidirectional_corpus, encode_sentence,
                             filter_by_length, load_parallel, make_batch,
@@ -132,10 +132,10 @@ class TestVocab:
                 encode_sentence(v, TaggedSentence(lang, ("a",)))
 
     def test_subword_vocab_crosses_between_words_and_pieces(self):
-        merges = learn_subword_model([["abab", "ab", "ba"]], merges=1).merges
-        assert merges == [("a", "b")]
-        v = Vocab.build([pair(["abab", "ba"], ["ab"])], merges)
-        assert v.merges == merges and v.tags == ["<en>", "<sw>"]
+        subword = learn_subword_model([["abab", "ab", "ba"]], merges=1)
+        assert subword.merges == [("a", "b")]
+        v = Vocab.build([pair(["abab", "ba"], ["ab"])], subword)
+        assert v.merges == subword.merges and v.tags == ["<en>", "<sw>"]
         assert "abab" not in v.token_to_id
         # "aba" was never seen, but its pieces were
         assert v.encode(["aba"]) == [v.token_to_id["ab@@"], v.token_to_id["a"]]
@@ -149,6 +149,23 @@ class TestVocab:
         assert filter_by_length([p], 1) == [p]
         assert filter_by_length([p], 1, subword) == []
         assert filter_by_length([p], 2, subword) == [p]
+
+    def test_each_word_is_segmented_once(self, monkeypatch):
+        # the length filter, the vocab build and the vocab's encode share
+        # the learned model and its memo
+        subword = learn_subword_model([["abab", "ab", "ba"]], merges=1)
+        calls = []
+        segment_word = SubwordModel.segment_word
+
+        def counted(model, word):
+            calls.append(word)
+            return segment_word(model, word)
+
+        monkeypatch.setattr(SubwordModel, "segment_word", counted)
+        pairs = filter_by_length([pair(["abab", "ba"], ["ab"])], 80, subword)
+        v = Vocab.build(build_bidirectional_corpus(pairs), subword)
+        v.encode(["abab", "ba", "ab"])
+        assert sorted(calls) == ["ab", "abab", "ba"]
 
     def test_equality_covers_tokens_order_tags_and_merges(self):
         v = Vocab(["<en>", "<sw>", "a", "b"], ["<en>", "<sw>"])

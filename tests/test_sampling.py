@@ -112,10 +112,11 @@ class TestStgsCombine:
     def test_tie_forward_hard_backward_soft(self, fp64):
         logits = Tensor(np.array([[1.0, 1.0]]), requires_grad=True)
         with Tape() as tape:
-            st, soft = stgs_combine(logits, np.zeros((1, 2)), tau=2.0)
+            st = stgs_combine(logits, np.zeros((1, 2)), tau=2.0)
             loss = ad.reduce_sum(ad.mul(st, ad.constant(np.array([[1.0, 0.0]]))))
+        soft = stgs_combine(logits, np.zeros((1, 2)), tau=2.0, soft_forward=True)
         np.testing.assert_array_equal(st.data, [[1.0, 0.0]])
-        np.testing.assert_allclose(soft, [[0.5, 0.5]])
+        np.testing.assert_allclose(soft.data, [[0.5, 0.5]])
         backward(tape, loss)
         # gradient equals the softmax jacobian row: p * (g - g.p) / tau
         expected = np.array([[0.5 * 0.5, -0.5 * 0.5]]) / 2.0
@@ -127,7 +128,7 @@ class TestStgsCombine:
         fixed = ad.constant(rng.standard_normal((2, 6)))
 
         def f(x):
-            st, _ = stgs_combine(x, noise, tau=2.0, soft_forward=True)
+            st = stgs_combine(x, noise, tau=2.0, soft_forward=True)
             return ad.reduce_sum(ad.mul(st, fixed))
 
         point = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
@@ -142,22 +143,23 @@ class TestStgsCombine:
             logits = Tensor(rng.standard_normal((1, 5)), requires_grad=True)
             data = logits.data.copy()
             with Tape() as tape:
-                st, _ = stgs_combine(logits, noise, 2.0, soft_forward=soft_forward)
+                st = stgs_combine(logits, noise, 2.0, soft_forward=soft_forward)
                 loss = ad.reduce_sum(ad.mul(st, fixed))
             backward(tape, loss)
             grads.append((data, logits.grad))
         # same point gives the same backward regardless of forward mode
         logits2 = Tensor(grads[0][0], requires_grad=True)
         with Tape() as tape:
-            st, _ = stgs_combine(logits2, noise, 2.0, soft_forward=True)
+            st = stgs_combine(logits2, noise, 2.0, soft_forward=True)
             loss = ad.reduce_sum(ad.mul(st, fixed))
         backward(tape, loss)
         np.testing.assert_allclose(grads[0][1], logits2.grad, rtol=1e-12)
 
     def test_small_tau_approaches_hard(self, fp64):
         logits = Tensor(np.array([[3.0, 0.0, -1.0]]))
-        st, soft = stgs_combine(logits, np.zeros((1, 3)), tau=1e-3)
-        np.testing.assert_allclose(soft, st.data, atol=1e-6)
+        st = stgs_combine(logits, np.zeros((1, 3)), tau=1e-3)
+        soft = stgs_combine(logits, np.zeros((1, 3)), tau=1e-3, soft_forward=True)
+        np.testing.assert_allclose(soft.data, st.data, atol=1e-6)
 
     def test_invalid_tau_rejected(self):
         with pytest.raises(ValueError):
