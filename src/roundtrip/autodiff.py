@@ -18,24 +18,19 @@ _DTYPE_NAMES = {"fp32": np.float32, "fp64": np.float64}
 _default_dtype = np.dtype(np.float64)
 
 
-def set_default_dtype(name: str) -> None:
-    """Set the global float width ("fp32" or "fp64") for new tensors."""
-    global _default_dtype
-    if name not in _DTYPE_NAMES:
-        raise ValueError(f"unknown precision {name!r}; expected fp32 or fp64")
-    _default_dtype = np.dtype(_DTYPE_NAMES[name])
-
-
 def default_dtype() -> np.dtype:
     return _default_dtype
 
 
 @contextlib.contextmanager
 def using_dtype(name: str):
-    """Temporarily switch the default float width (used by fp64 test suites)."""
+    """Make new tensors of the float width `name` ("fp32" or "fp64") inside
+    the block, and restore the previous width on leaving it."""
     global _default_dtype
+    if name not in _DTYPE_NAMES:
+        raise ValueError(f"unknown precision {name!r}; expected fp32 or fp64")
     saved = _default_dtype
-    set_default_dtype(name)
+    _default_dtype = np.dtype(_DTYPE_NAMES[name])
     try:
         yield
     finally:

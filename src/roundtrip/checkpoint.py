@@ -1,19 +1,15 @@
 """Versioned checkpoint container: named parameter tensors + the vocab, with
-its language tags and subword merges + config hash, and, in a checkpoint the
-trainer writes, the trainer's state.
-
-Arrays are stored little-endian in the run's width (32-bit floats for fp32
-runs), so save -> load is bit-exact and resumed training reproduces the same
-update sequence. Structural mismatches (dims, vocab, precision) fail fast.
-A checkpoint is written whole or not at all: `save` writes a temporary file
-beside it and moves that into place, so a write that fails leaves the file
-previously under that name as it was.
+its language tags and subword merges + the model config, and, in a checkpoint
+the trainer writes, the trainer's state. Its precision is the dtype of its
+arrays, stored little-endian and loaded uncast, so save -> load is bit-exact.
+A checkpoint is written whole or not at all (`write_whole`): `save` writes a
+temporary file beside it and moves that into place, so a write that fails
+leaves the file previously under that name as it was.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 
@@ -25,20 +21,23 @@ from .model import ModelConfig, ModelParams
 
 FORMAT_VERSION = 1
 
+_PRECISIONS = {np.dtype(np.float32): "fp32", np.dtype(np.float64): "fp64"}
 
-def structural_hash(config: ModelConfig, precision: str) -> str:
-    key = (f"vocab_size={config.vocab_size};d_emb={config.d_emb};"
-           f"d_hidden={config.d_hidden};d_attention={config.d_attention};"
-           f"layer_norm={config.layer_norm};precision={precision}")
-    return hashlib.sha256(key.encode()).hexdigest()[:16]
+
+def precision(params: ModelParams) -> str:
+    """The precision of `params`, whose arrays must share one float dtype."""
+    dtypes = {t.data.dtype for _, t in params.named_parameters()}
+    if len(dtypes) != 1 or not dtypes <= _PRECISIONS.keys():
+        raise ValueError(f"parameters of mixed or non-float dtypes {sorted(map(str, dtypes))}")
+    return _PRECISIONS[dtypes.pop()]
 
 
 def _le(a: np.ndarray) -> np.ndarray:
     return a.astype(a.dtype.newbyteorder("<"), copy=False)
 
 
-def save(path: str, params: ModelParams, vocab: Vocab, precision: str,
-         meta: dict | None = None, state: dict[str, np.ndarray] | None = None) -> None:
+def save(path: str, params: ModelParams, vocab: Vocab, meta: dict | None = None,
+         state: dict[str, np.ndarray] | None = None) -> None:
     """Write the model, the vocab and `meta`, a JSON object. The trainer
     passes its scalar state in `meta` and its arrays (optimizer moments,
     reconstructor weights) by name in `state`, which only `load_state` reads."""
@@ -46,19 +45,24 @@ def save(path: str, params: ModelParams, vocab: Vocab, precision: str,
     arrays.update({f"state/{name}": _le(a) for name, a in (state or {}).items()})
     header = {
         "version": FORMAT_VERSION,
-        "precision": precision,
+        "precision": precision(params),
         "config": dataclasses.asdict(params.config),
-        "config_hash": structural_hash(params.config, precision),
         "tags": vocab.tags,
         "merges": vocab.merges,
         "meta": meta or {},
     }
     vocab_lines = "\n".join(vocab.id_to_token)
+    write_whole(path, lambda fh: np.savez(fh, __header__=np.array(json.dumps(header)),
+                                          __vocab__=np.array(vocab_lines), **arrays))
+
+
+def write_whole(path: str, write) -> None:
+    """Call `write` on a binary file beside `path`, make that file durable
+    and move it into place: a write that fails leaves `path` as it was."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            np.savez(fh, __header__=np.array(json.dumps(header)),
-                     __vocab__=np.array(vocab_lines), **arrays)
+            write(fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -68,22 +72,24 @@ def save(path: str, params: ModelParams, vocab: Vocab, precision: str,
         raise
 
 
-def load(path: str, expect_hash: str | None = None) -> tuple[ModelParams, Vocab, dict]:
-    """Rebuild params/vocab; verifies the structural hash when given. A header
-    without tags or merges predates them: its vocab has no merges, and its
-    tags are the two tokens right after the reserved ones, where `Vocab.build`
+def load(path: str, config: ModelConfig | None = None) -> tuple[ModelParams, Vocab, dict]:
+    """Rebuild params/vocab in the stored dtype, from the run's `config` if
+    given: the file must then hold that structure but for `dropout`, in the
+    caller's precision. A header without tags or merges has no merges, and
+    its tags are the two tokens after the reserved ones, where `Vocab.build`
     has always put the sorted tags of the corpus's one language pair."""
     with np.load(path, allow_pickle=False) as data:
         header = json.loads(str(data["__header__"]))
         if header["version"] != FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint version {header['version']}")
-        if expect_hash is not None and header["config_hash"] != expect_hash:
-            raise ValueError("checkpoint config hash mismatch; "
-                             "model dims/vocab/precision differ from the run config")
+        if config is not None:
+            for field, value in header["config"].items():
+                if field != "dropout" and value != getattr(config, field):
+                    raise ValueError(f"{path} holds a model with {field}={value!r}; "
+                                     f"this run's {field} is {getattr(config, field)!r}")
         tokens = str(data["__vocab__"]).split("\n")[len(RESERVED):]
         vocab = Vocab(tokens, header.get("tags", tokens[:2]), header.get("merges", []))
-        params = ModelParams(ModelConfig(**header["config"]), np.random.default_rng(0))
-        dtype = ad.default_dtype()
+        params = ModelParams(config or ModelConfig(**header["config"]), np.random.default_rng(0))
         for name, t in params.named_parameters():
             key = f"param/{name}"
             if key not in data:
@@ -91,7 +97,10 @@ def load(path: str, expect_hash: str | None = None) -> tuple[ModelParams, Vocab,
             stored = data[key]
             if stored.shape != t.data.shape:
                 raise ValueError(f"shape mismatch for {name}")
-            t.data = np.ascontiguousarray(stored, dtype=dtype)
+            t.data = np.ascontiguousarray(stored)
+    if config is not None and precision(params) != _PRECISIONS[ad.default_dtype()]:
+        raise ValueError(f"{path} holds a model with precision={precision(params)!r}; "
+                         f"this run's precision is {_PRECISIONS[ad.default_dtype()]!r}")
     return params, vocab, header
 
 

@@ -66,7 +66,6 @@ def _build_parser() -> _Parser:
     xp.add_argument("--src-lang", help="tag untagged input lines with this language")
     xp.add_argument("--beam", type=int, default=5,
                     help="beam width; 1 = greedy (default 5)")
-    xp.add_argument("--precision", default="fp32", choices=("fp32", "fp64"))
 
     cp = sub.add_parser("score", help="corpus BLEU of a hypothesis file")
     cp.add_argument("--hyp", help="hypothesis file")
@@ -137,8 +136,8 @@ def cmd_train(args, phase: str) -> int:
 
 
 def cmd_translate(args) -> int:
-    with ad.using_dtype(args.precision):
-        params, vocab, _ = ckpt_io.load(args.checkpoint)
+    params, vocab, _ = ckpt_io.load(args.checkpoint)
+    with ad.using_dtype(ckpt_io.precision(params)):
         with open(args.input, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
 
@@ -187,6 +186,8 @@ def _read_bleu_runs(run_dir: str) -> dict[str, dict[int, float]]:
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             runs.setdefault(row["direction"], {})[int(row["seed"])] = float(row["bleu"])
+    if not runs:
+        raise UsageError(f"{path} holds no BLEU rows")
     return runs
 
 
@@ -219,7 +220,8 @@ def cmd_score(args) -> int:
     if args.checkpoint:
         params, vocab, _ = ckpt_io.load(args.checkpoint)
         pairs = load_parallel(args.src, args.ref, args.src_lang, args.tgt_lang)
-        ppl = perplexity(params, pairs, vocab)
+        with ad.using_dtype(ckpt_io.precision(params)):
+            ppl = perplexity(params, pairs, vocab)
     print(f"BLEU = {bleu:.2f}")
     if ppl is not None:
         print(f"perplexity = {ppl:.4f}")

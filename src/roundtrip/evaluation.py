@@ -241,14 +241,17 @@ def delta_bleu_report(baseline_runs: dict[str, dict[int, float]],
                       treatment_runs: dict[str, dict[int, float]]) -> list[dict]:
     """Per-direction mean/std of BLEU and of seed-paired deltas.
 
-    Runs map direction -> {seed: bleu}; seed sets must match across
-    conditions so deltas pair up. Std uses ddof=1 (ddof=0 for a single seed).
+    Runs map direction -> {seed: bleu}; direction and seed sets must match
+    across conditions so deltas pair up. Std uses ddof=1.
     """
+    only_base = sorted(set(baseline_runs) - set(treatment_runs))
+    only_treat = sorted(set(treatment_runs) - set(baseline_runs))
+    if only_base or only_treat:
+        raise ValueError(f"direction sets differ: the treatment lacks {only_base}, "
+                         f"the baseline lacks {only_treat}")
     rows = []
     for direction in sorted(baseline_runs):
         base = baseline_runs[direction]
-        if direction not in treatment_runs:
-            raise ValueError(f"missing treatment runs for {direction}")
         treat = treatment_runs[direction]
         if set(base) != set(treat):
             raise ValueError(f"seed sets differ for {direction}: "

@@ -10,6 +10,7 @@ encoder / decoder hidden states instead.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass
 
@@ -254,6 +255,18 @@ def _append_rows(path: str, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _keep_rows_until(path: str, update: int) -> None:
+    """Drop the rows of the CSV log `path` past `update`, writing it whole."""
+    if not os.path.exists(path):
+        return
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    column = header.index("update")
+    text = io.StringIO()
+    csv.writer(text).writerows([header] + [r for r in rows if int(r[column]) <= update])
+    ckpt_io.write_whole(path, lambda fh: fh.write(text.getvalue().encode("utf-8")))
+
+
 @dataclass
 class TrainResult:
     checkpoints: list[str]
@@ -317,6 +330,7 @@ class Trainer:
         self.update = 0
         self.n_checkpoints = 0  # the checkpoint column of metrics.csv
         self.metrics_path = os.path.join(out_dir, "metrics.csv")
+        self.bleu_path = os.path.join(out_dir, "bleu.csv")
         # (epoch, its batches), so that a run resumed or cut into chunks
         # within an epoch does not batch the corpus again
         self._epoch_cache: tuple[int, list[Batch]] | None = None
@@ -378,8 +392,7 @@ class Trainer:
             bleu = evaluation.evaluate_bleu(self.params, self.vocab, pairs,
                                             evaluation.DecodeConfig())
             rows.append([name, self.cfg.seed, self.update, f"{bleu:.4f}"])
-        _append_rows(os.path.join(self.out_dir, "bleu.csv"),
-                     ["direction", "seed", "update", "bleu"], rows)
+        _append_rows(self.bleu_path, ["direction", "seed", "update", "bleu"], rows)
 
     # -- persistence ----------------------------------------------------------
 
@@ -394,17 +407,14 @@ class Trainer:
         if self.aux is not None:
             meta["aux_scheduler"] = self.aux_scheduler.state()
             state.update((name, t.data) for name, t in self.aux.named_parameters())
-        ckpt_io.save(path, self.params, self.vocab, self.cfg.precision, meta=meta,
-                     state=state)
+        ckpt_io.save(path, self.params, self.vocab, meta=meta, state=state)
         return path
 
     def _load_model(self, path: str):
-        """The model and header of checkpoint `path`, which must hold this
-        run's structure and vocab: the same tokens in the same order, tags
-        and merges, so that an id means the same piece in both."""
-        expect = ckpt_io.structural_hash(self.cfg.model_config(len(self.vocab)),
-                                         self.cfg.precision)
-        params, vocab, header = ckpt_io.load(path, expect_hash=expect)
+        """The model, at this run's dropout, and header of checkpoint `path`, which
+        must hold this run's structure, precision and vocab: the same tokens in
+        the same order, tags and merges, so that an id means the same piece."""
+        params, vocab, header = ckpt_io.load(path, self.cfg.model_config(len(self.vocab)))
         if vocab != self.vocab:
             raise ValueError(f"{path} holds another vocab than this run's: its "
                              "tokens, their order, tags or merges differ")
@@ -412,7 +422,9 @@ class Trainer:
 
     def restore(self, ckpt_path: str) -> None:
         """Resume mid-phase from a checkpoint of this phase and recon_mode: the
-        model, reconstructors, optimizer moments, schedules and counters."""
+        model, reconstructors, optimizer moments, schedules and counters. The
+        logs keep their rows up to the checkpoint's update, so that the run
+        goes on to write them as one run that was never cut would."""
         params, header = self._load_model(ckpt_path)
         state, meta = ckpt_io.load_state(ckpt_path), header["meta"]
         if (meta["phase"], meta["recon_mode"]) != (self.phase, self.cfg.recon_mode):
@@ -430,6 +442,8 @@ class Trainer:
         self.scheduler.load_state(meta["scheduler"])
         self.update = meta["update"]
         self.n_checkpoints = meta["checkpoint"]
+        for path in (self.metrics_path, self.bleu_path):
+            _keep_rows_until(path, self.update)
 
     # -- main loop ------------------------------------------------------------
 

@@ -420,5 +420,7 @@ def test_precision_switch_controls_dtype():
         assert Tensor([1.0]).data.dtype == np.float32
     with ad.using_dtype("fp64"):
         assert Tensor([1.0]).data.dtype == np.float64
-    with pytest.raises(ValueError):
-        ad.set_default_dtype("fp16")
+    with pytest.raises(ValueError, match="fp16"):
+        with ad.using_dtype("fp16"):
+            pass
+    assert ad.default_dtype() == np.float64

@@ -235,7 +235,7 @@ class TestTranslate:
     def test_copy_model_identity_and_flags(self, tmp_path, copy_model):
         params, vocab, data = copy_model
         ckpt = str(tmp_path / "model.npz")
-        ckpt_io.save(ckpt, params, vocab, "fp32")
+        ckpt_io.save(ckpt, params, vocab)
         inp = tmp_path / "input.txt"
         sentences = [" ".join(p.source.tokens) for p in data["train"][:5]]
         inp.write_text("\n".join(sentences) + "\n")
@@ -248,7 +248,7 @@ class TestTranslate:
     def test_tagged_input_lines(self, tmp_path, copy_model):
         params, vocab, data = copy_model
         ckpt = str(tmp_path / "model.npz")
-        ckpt_io.save(ckpt, params, vocab, "fp32")
+        ckpt_io.save(ckpt, params, vocab)
         inp = tmp_path / "input.txt"
         sent = " ".join(data["train"][0].source.tokens)
         inp.write_text(f"<l1> {sent}\n")
@@ -260,7 +260,7 @@ class TestTranslate:
     def test_beam_flag_honored(self, tmp_path, copy_model):
         params, vocab, data = copy_model
         ckpt = str(tmp_path / "model.npz")
-        ckpt_io.save(ckpt, params, vocab, "fp32")
+        ckpt_io.save(ckpt, params, vocab)
         inp = tmp_path / "input.txt"
         sent = " ".join(data["train"][0].source.tokens)
         inp.write_text(sent + "\n")
@@ -272,18 +272,17 @@ class TestTranslate:
     def test_precision_flag_does_not_leak(self, tmp_path, copy_model, fp64):
         params, vocab, data = copy_model
         ckpt = str(tmp_path / "model.npz")
-        ckpt_io.save(ckpt, params, vocab, "fp32")
+        ckpt_io.save(ckpt, params, vocab)
         inp = tmp_path / "input.txt"
         inp.write_text(" ".join(data["train"][0].source.tokens) + "\n")
         assert run_cli("translate", "--checkpoint", ckpt, "--input", str(inp),
-                       "--output", str(tmp_path / "hyp.txt"), "--src-lang", "l1",
-                       "--precision", "fp32") == 0
+                       "--output", str(tmp_path / "hyp.txt"), "--src-lang", "l1") == 0
         assert ad.default_dtype() == np.float64
 
     def test_empty_line_warns_and_emits_empty(self, tmp_path, copy_model, capsys):
         params, vocab, data = copy_model
         ckpt = str(tmp_path / "model.npz")
-        ckpt_io.save(ckpt, params, vocab, "fp32")
+        ckpt_io.save(ckpt, params, vocab)
         inp = tmp_path / "input.txt"
         sent = " ".join(data["train"][0].source.tokens)
         inp.write_text(f"{sent}\n\n{sent}\n")
@@ -297,7 +296,7 @@ class TestTranslate:
     def test_unknown_language_errors(self, tmp_path, copy_model):
         params, vocab, data = copy_model
         ckpt = str(tmp_path / "model.npz")
-        ckpt_io.save(ckpt, params, vocab, "fp32")
+        ckpt_io.save(ckpt, params, vocab)
         inp = tmp_path / "input.txt"
         inp.write_text("w01 w02\n")
         assert run_cli("translate", "--checkpoint", ckpt, "--input", str(inp),
@@ -306,7 +305,7 @@ class TestTranslate:
     def test_untagged_without_flag_errors(self, tmp_path, copy_model):
         params, vocab, _ = copy_model
         ckpt = str(tmp_path / "model.npz")
-        ckpt_io.save(ckpt, params, vocab, "fp32")
+        ckpt_io.save(ckpt, params, vocab)
         inp = tmp_path / "input.txt"
         inp.write_text("w01 w02\n")
         assert run_cli("translate", "--checkpoint", ckpt, "--input", str(inp),
@@ -319,7 +318,7 @@ class TestTranslate:
         params = ModelParams(RunConfig(d_emb=8, d_hidden=8, d_attention=8)
                              .model_config(len(vocab)), np.random.default_rng(0))
         ckpt = str(tmp_path / "model.npz")
-        ckpt_io.save(ckpt, params, vocab, "fp32")
+        ckpt_io.save(ckpt, params, vocab)
         inp = tmp_path / "input.txt"
         inp.write_text("<br> a\n")
         out = str(tmp_path / "o")
@@ -334,18 +333,77 @@ class TestTranslate:
     def test_reserved_token_is_not_a_language_tag(self, tmp_path, copy_model):
         params, vocab, _ = copy_model
         ckpt = str(tmp_path / "model.npz")
-        ckpt_io.save(ckpt, params, vocab, "fp32")
+        ckpt_io.save(ckpt, params, vocab)
         inp = tmp_path / "input.txt"
         inp.write_text("<eos> w01 w02\n")
         assert run_cli("translate", "--checkpoint", ckpt, "--input", str(inp),
                        "--output", str(tmp_path / "o")) == 1
 
 
+@pytest.mark.parametrize("precision, dtype", [("fp32", np.float32),
+                                              ("fp64", np.float64)])
+def test_translate_and_score_compute_in_the_checkpoints_precision(
+        tmp_path, copy_model, monkeypatch, precision, dtype):
+    _, vocab, data = copy_model
+    with ad.using_dtype(precision):
+        params = ModelParams(RunConfig(d_emb=8, d_hidden=8, d_attention=8)
+                             .model_config(len(vocab)), np.random.default_rng(0))
+    ckpt = str(tmp_path / "model.npz")
+    ckpt_io.save(ckpt, params, vocab)
+    seen = []
+
+    def spy(fn):
+        def wrapped(params, *args, **kwargs):
+            seen.append((fn.__name__, {t.data.dtype for _, t in params.named_parameters()},
+                         ad.default_dtype()))
+            return fn(params, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "decode_corpus", spy(decode_corpus))
+    monkeypatch.setattr(cli, "perplexity", spy(evaluation.perplexity))
+    src, ref = tmp_path / "src.txt", tmp_path / "ref.txt"
+    src.write_text(" ".join(data["dev"][0].source.tokens) + "\n")
+    ref.write_text(" ".join(data["dev"][0].target.tokens) + "\n")
+    assert run_cli("translate", "--checkpoint", ckpt, "--input", str(src),
+                   "--output", str(tmp_path / "hyp.txt"), "--src-lang", "l1") == 0
+    assert run_cli("score", "--hyp", str(ref), "--ref", str(ref), "--src", str(src),
+                   "--checkpoint", ckpt) == 0
+    assert seen == [("decode_corpus", {np.dtype(dtype)}, dtype),
+                    ("perplexity", {np.dtype(dtype)}, dtype)]
+
+
+def _write_bleu_runs(run_dir, rows):
+    run_dir.mkdir()
+    with open(run_dir / "bleu.csv", "w") as fh:
+        fh.write("direction,seed,update,bleu\n")
+        fh.writelines(f"{d},{seed},10,{b}\n" for d, seed, b in rows)
+    return str(run_dir)
+
+
 class TestScore:
+    def test_report_refuses_a_direction_on_one_side_only(self, tmp_path, capsys):
+        base = _write_bleu_runs(tmp_path / "base", [("l1-l2", 1, 30.0), ("l1-l2", 2, 31.0)])
+        treat = _write_bleu_runs(tmp_path / "treat", [
+            ("l1-l2", 1, 30.5), ("l1-l2", 2, 31.5), ("l2-l1", 1, 20.0), ("l2-l1", 2, 21.0)])
+        for args in ((base, treat), (treat, base)):
+            assert run_cli("score", "--report", *args) == 1
+            captured = capsys.readouterr()
+            assert "l2-l1" in captured.err and "direction" not in captured.out
+
+    @pytest.mark.parametrize("csv_out", [False, True])
+    def test_report_refuses_a_run_without_bleu_rows(self, tmp_path, capsys, csv_out):
+        base = _write_bleu_runs(tmp_path / "base", [])
+        treat = _write_bleu_runs(tmp_path / "treat", [("l1-l2", 1, 30.5), ("l1-l2", 2, 31.5)])
+        out_csv = tmp_path / "delta.csv"
+        extra = ("--csv-out", str(out_csv)) if csv_out else ()
+        assert run_cli("score", "--report", base, treat, *extra) == 1
+        assert "no BLEU rows" in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_unknown_language_errors(self, tmp_path, copy_model, capsys):
         params, vocab, data = copy_model
         ckpt = str(tmp_path / "model.npz")
-        ckpt_io.save(ckpt, params, vocab, "fp32")
+        ckpt_io.save(ckpt, params, vocab)
         text = tmp_path / "text.txt"
         text.write_text(" ".join(data["dev"][0].source.tokens) + "\n")
         assert run_cli("score", "--hyp", str(text), "--ref", str(text),
@@ -358,7 +416,7 @@ class TestScore:
     def test_src_and_checkpoint_go_together(self, tmp_path, copy_model, capsys):
         params, vocab, _ = copy_model
         ckpt = str(tmp_path / "model.npz")
-        ckpt_io.save(ckpt, params, vocab, "fp32")
+        ckpt_io.save(ckpt, params, vocab)
         text = tmp_path / "text.txt"
         text.write_text("w1 w2\n")
         for flag, value in (("--src", str(text)), ("--checkpoint", ckpt)):
@@ -412,7 +470,7 @@ class TestScore:
     def test_perplexity_with_checkpoint(self, tmp_path, copy_model, capsys):
         params, vocab, data = copy_model
         ckpt = str(tmp_path / "model.npz")
-        ckpt_io.save(ckpt, params, vocab, "fp32")
+        ckpt_io.save(ckpt, params, vocab)
         src = tmp_path / "src.txt"
         ref = tmp_path / "ref.txt"
         src.write_text("\n".join(" ".join(p.source.tokens)

@@ -1,6 +1,8 @@
 """Encoder, decoder step, teacher-forced scoring and checkpointing."""
 
+import dataclasses
 import io
+import json
 import os
 
 import numpy as np
@@ -222,7 +224,7 @@ class TestCheckpoint:
         params = tiny_params(vocab_size=9, seed=4)
         vocab = self._vocab()
         path = str(tmp_path / "ckpt.npz")
-        ckpt_io.save(path, params, vocab, "fp64", meta={"update": 7})
+        ckpt_io.save(path, params, vocab, meta={"update": 7})
         loaded, loaded_vocab, header = ckpt_io.load(path)
         for (n1, t1), (n2, t2) in zip(params.named_parameters(),
                                       loaded.named_parameters()):
@@ -236,7 +238,7 @@ class TestCheckpoint:
         vocab = Vocab(["<l1>", "<l2>", "a@@", "b", "ab"], ["<l1>", "<l2>"],
                       [("a", "b")])
         path = str(tmp_path / "ckpt.npz")
-        ckpt_io.save(path, params, vocab, "fp64")
+        ckpt_io.save(path, params, vocab)
         _, loaded_vocab, _ = ckpt_io.load(path)
         assert loaded_vocab == vocab
         assert loaded_vocab.encode(["abb"]) == vocab.encode(["abb"])
@@ -246,7 +248,7 @@ class TestCheckpoint:
         params = tiny_params(vocab_size=9, seed=4)
         vocab = self._vocab()
         path = str(tmp_path / "ckpt.npz")
-        ckpt_io.save(path, params, vocab, "fp64", meta={"update": 1})
+        ckpt_io.save(path, params, vocab, meta={"update": 1})
         before = open(path, "rb").read()
         real_savez = np.savez
 
@@ -259,7 +261,7 @@ class TestCheckpoint:
 
         monkeypatch.setattr(np, "savez", savez_then_fail)
         with pytest.raises(OSError, match="no space"):
-            ckpt_io.save(path, tiny_params(vocab_size=9, seed=5), vocab, "fp64",
+            ckpt_io.save(path, tiny_params(vocab_size=9, seed=5), vocab,
                          meta={"update": 2})
         monkeypatch.undo()
         assert os.listdir(tmp_path) == ["ckpt.npz"]
@@ -273,19 +275,51 @@ class TestCheckpoint:
     def test_structural_mismatch_fails_fast(self, tmp_path, fp64):
         params = tiny_params(vocab_size=9, d=6)
         path = str(tmp_path / "ckpt.npz")
-        ckpt_io.save(path, params, self._vocab(), "fp64")
+        ckpt_io.save(path, params, self._vocab())
         other = ModelConfig(vocab_size=9, d_emb=8, d_hidden=8, d_attention=8)
-        bad_hash = ckpt_io.structural_hash(other, "fp64")
-        with pytest.raises(ValueError, match="hash mismatch"):
-            ckpt_io.load(path, expect_hash=bad_hash)
+        with pytest.raises(ValueError, match="d_emb=6; this run's d_emb is 8"):
+            ckpt_io.load(path, other)
+        wider = dataclasses.replace(params.config, d_hidden=10)
+        with pytest.raises(ValueError, match="d_hidden=6; this run's d_hidden is 10"):
+            ckpt_io.load(path, wider)
 
     def test_precision_is_structural(self, tmp_path, fp64):
         params = tiny_params()
         path = str(tmp_path / "ckpt.npz")
-        ckpt_io.save(path, params, self._vocab(), "fp64")
-        h32 = ckpt_io.structural_hash(params.config, "fp32")
-        with pytest.raises(ValueError, match="hash mismatch"):
-            ckpt_io.load(path, expect_hash=h32)
+        ckpt_io.save(path, params, self._vocab())
+        with ad.using_dtype("fp32"):
+            with pytest.raises(ValueError, match="precision='fp64'; "
+                                                 "this run's precision is 'fp32'"):
+                ckpt_io.load(path, params.config)
+
+    def test_precision_is_the_dtype_of_the_arrays(self, tmp_path):
+        path = str(tmp_path / "ckpt.npz")
+        for name, dtype in (("fp32", np.float32), ("fp64", np.float64)):
+            with ad.using_dtype(name):
+                ckpt_io.save(path, tiny_params(), self._vocab())
+            loaded, _, header = ckpt_io.load(path)
+            assert header["precision"] == name and "config_hash" not in header
+            assert {t.data.dtype for _, t in loaded.named_parameters()} == {np.dtype(dtype)}
+
+    def test_mixed_dtypes_are_refused(self, tmp_path, fp64):
+        params = tiny_params()
+        params.E.data = params.E.data.astype(np.float32)
+        with pytest.raises(ValueError, match="float32.*float64"):
+            ckpt_io.save(str(tmp_path / "ckpt.npz"), params, self._vocab())
+
+    def test_config_hash_of_an_older_checkpoint_is_ignored(self, tmp_path, fp64):
+        params = tiny_params()
+        path = str(tmp_path / "ckpt.npz")
+        ckpt_io.save(path, params, self._vocab())
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        header = json.loads(str(arrays["__header__"]))
+        header["config_hash"] = "0123456789abcdef"
+        arrays["__header__"] = np.array(json.dumps(header))
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        loaded, _, _ = ckpt_io.load(path, params.config)
+        assert np.array_equal(loaded.E.data, params.E.data)
 
 
 def test_translation_loss_reductions(fp64):

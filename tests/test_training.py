@@ -1,5 +1,6 @@
 """Objectives, optimizer, schedule and the training loop."""
 
+import csv
 import os
 
 import numpy as np
@@ -304,7 +305,7 @@ class TestParameterCounts:
     def test_model_only_checkpoint_does_not_restore(self, tmp_path):
         pre = self._training_setup("none", tmp_path)
         path = str(tmp_path / "model-only.npz")
-        ckpt_io.save(path, pre.params, pre.vocab, pre.cfg.precision)
+        ckpt_io.save(path, pre.params, pre.vocab)
         with pytest.raises(ValueError, match="model-only.npz holds no trainer state"):
             pre.restore(path)
 
@@ -357,12 +358,53 @@ class TestTrainerLoop:
         swapped = Vocab(tokens, vocab.tags, vocab.merges)
         path = str(tmp_path / "swapped.npz")
         params = ModelParams(cfg.model_config(len(vocab)), np.random.default_rng(0))
-        ckpt_io.save(path, params, swapped, cfg.precision)
+        ckpt_io.save(path, params, swapped)
         with pytest.raises(ValueError, match="swapped.npz.*vocab"):
             Trainer(cfg, vocab, data["train"], data["dev"], "finetune",
                     str(tmp_path / "ft"), init_checkpoint=path)
         Trainer(cfg, swapped, data["train"], data["dev"], "finetune",
                 str(tmp_path / "ft"), init_checkpoint=path)
+
+    def test_finetune_trains_at_its_own_dropout(self, tmp_path):
+        trainer, data, vocab = self._make(tmp_path, max_updates=10, dropout=0.2)
+        pre_ckpt = trainer.run().final_checkpoint
+        cfg = RunConfig(**{**trainer.cfg.__dict__, "dropout": 0.0})
+        ft = Trainer(cfg, vocab, data["train"], data["dev"], "finetune",
+                     str(tmp_path / "ft"), init_checkpoint=pre_ckpt)
+        assert ft.params.config.dropout == ft.params.dec.dropout == 0.0
+        batch = next(ft._batch_stream())
+        train_mode, _, _ = ft.compute_losses(batch, 0, train=True)
+        eval_mode, _, _ = ft.compute_losses(batch, 0, train=False)
+        assert float(train_mode.data) == float(eval_mode.data)
+
+    def test_fp32_trainer_refuses_an_fp64_checkpoint(self, tmp_path):
+        trainer, data, vocab = self._make(tmp_path, max_updates=10)
+        assert ad.default_dtype() == np.float64
+        ckpt = trainer.run().final_checkpoint
+        assert ckpt_io.load(ckpt)[2]["precision"] == "fp64"
+        with ad.using_dtype("fp32"):
+            with pytest.raises(ValueError, match="precision='fp64'; "
+                                                 "this run's precision is 'fp32'"):
+                Trainer(trainer.cfg, vocab, data["train"], data["dev"], "pretrain",
+                        str(tmp_path / "fp32"), init_checkpoint=ckpt)
+
+    def test_resume_keeps_the_logs_of_one_uncut_run(self, tmp_path):
+        # run to update 4, restore the checkpoint at 2 into the same out_dir
+        # and run to 4 again: the logs read as if the run had never been cut
+        kwargs = dict(checkpoint_interval=2, max_updates=4, eval_bleu=True)
+        first, _, _ = self._make(tmp_path, **kwargs)
+        ckpt_2 = first.run().checkpoints[0]
+        logs = [os.path.join(first.out_dir, name) for name in ("metrics.csv", "bleu.csv")]
+        uncut = {path: open(path, "rb").read() for path in logs}
+        resumed, _, _ = self._make(tmp_path, **kwargs)
+        resumed.restore(ckpt_2)
+        with open(logs[0], newline="") as fh:
+            assert [row["update"] for row in csv.DictReader(fh)] == ["2"]
+        with open(logs[1], newline="") as fh:
+            assert [row["update"] for row in csv.DictReader(fh)] == ["2", "2"]
+        resumed.run()
+        assert {path: open(path, "rb").read() for path in uncut} == uncut
+        assert not [f for f in os.listdir(resumed.out_dir) if f.endswith(".tmp")]
 
     def test_finetune_starts_at_finetune_lr(self, tmp_path):
         trainer, data, vocab = self._make(tmp_path, max_updates=10)
