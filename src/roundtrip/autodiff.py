@@ -111,39 +111,32 @@ def record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tens
 def backward(tape: Tape, loss: Tensor) -> None:
     """Replay the tape in reverse, attaching gradients to leaf tensors.
 
-    Every requires_grad leaf on the tape ends up with a .grad: the
-    accumulated gradient if reachable from the loss, zeros otherwise.
+    Each gradient accumulates in its tensor's .grad; a produced tensor's is
+    cleared once its node has run, so only the leaves keep theirs. Every
+    requires_grad leaf on the tape ends up with a .grad: the accumulated
+    gradient if reachable from the loss, zeros otherwise.
     """
     if not tape.nodes:
         raise TapeError("backward on an empty tape")
     if loss.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    loss.grad = np.ones_like(loss.data)
     produced = {id(out) for out, _, _ in tape.nodes}
 
     for out, inputs, backward_fn in reversed(tape.nodes):
-        g_out = grads.pop(id(out), None)
+        g_out = out.grad
         if g_out is None:
             continue
-        input_grads = backward_fn(g_out)
-        for t, g in zip(inputs, input_grads):
-            if g is None or not t.requires_grad:
-                continue
-            key = id(t)
-            prev = grads.get(key)
-            grads[key] = g if prev is None else prev + g
+        out.grad = None
+        for t, g in zip(inputs, backward_fn(g_out)):
+            if g is not None and t.requires_grad:
+                t.grad = g if t.grad is None else t.grad + g
 
-    leaves: dict[int, Tensor] = {}
     for _, inputs, _ in tape.nodes:
         for t in inputs:
-            if t.requires_grad and id(t) not in produced:
-                leaves[id(t)] = t
-    for key, t in leaves.items():
-        g = grads.get(key)
-        if g is None:
-            g = np.zeros_like(t.data)
-        t.grad = g if t.grad is None else t.grad + g
+            if t.requires_grad and t.grad is None and id(t) not in produced:
+                t.grad = np.zeros_like(t.data)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -221,22 +214,24 @@ def matmul_t(a: Tensor, b: Tensor) -> Tensor:
     return record(out, (a, b), bwd)
 
 
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul: (B,M,K) @ (B,K,N) -> (B,M,N)."""
-    if a.data.ndim != 3 or b.data.ndim != 3:
-        raise ValueError("bmm expects 3D operands")
-    out = Tensor(a.data @ b.data)
-    a_data, b_data = a.data, b.data
+def weighted_sum(weights: Tensor, values: Tensor) -> Tensor:
+    """Per-row weighted sum over positions: (B, S) weights and (B, S, D)
+    values give the (B, D) rows sum_s weights[b, s] * values[b, s]."""
+    if weights.ndim != 2 or values.ndim != 3 or values.shape[:2] != weights.shape:
+        raise ValueError(f"weighted_sum expects (B, S) weights and (B, S, D) "
+                         f"values, got {weights.shape} and {values.shape}")
+    B, S, D = values.shape
+    w_data, v_data = weights.data.reshape(B, 1, S), values.data
+    out = Tensor((w_data @ v_data).reshape(B, D))
 
     def bwd(g):
-        ga = g @ b_data.transpose(0, 2, 1)
-        if a_data.shape[1] == 1:
-            # a contraction over one term is the product; + 0.0 turns a -0.0
-            # product into the +0.0 that matmul's sum from zero gives
-            return ga, a_data.transpose(0, 2, 1) * g + 0.0
-        return ga, a_data.transpose(0, 2, 1) @ g
+        g = g.reshape(B, 1, D)
+        # a contraction over one term is the product; + 0.0 turns a -0.0
+        # product into the +0.0 that matmul's sum from zero gives
+        return ((g @ v_data.transpose(0, 2, 1)).reshape(B, S),
+                w_data.transpose(0, 2, 1) * g + 0.0)
 
-    return record(out, (a, b), bwd)
+    return record(out, (weights, values), bwd)
 
 
 def tanh(a: Tensor) -> Tensor:

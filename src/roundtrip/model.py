@@ -188,9 +188,7 @@ def encode(params: ModelParams, src_ids: np.ndarray | None, src_mask: np.ndarray
             e = _embed_step(params.E, None, src_dists[t])
         else:
             e = _embed_step(params.E, src_ids[:, t], None)
-        if p_drop:
-            e = ad.dropout(e, p_drop, rng)
-        embs.append(e)
+        embs.append(ad.dropout(e, p_drop, rng))
 
     def run(cell: LstmCellParams, order):
         h = ad.constant(np.zeros((B, cfg.d_hidden)))
@@ -205,9 +203,7 @@ def encode(params: ModelParams, src_ids: np.ndarray | None, src_mask: np.ndarray
     bwd_states, bwd_final = run(params.enc_bwd, range(S - 1, -1, -1))
 
     per_pos = [ad.concat([f, b], axis=-1) for f, b in zip(fwd_states, bwd_states)]
-    if p_drop:
-        per_pos = [ad.dropout(a, p_drop, rng) for a in per_pos]
-    annotations = ad.stack(per_pos, axis=1)
+    annotations = ad.stack([ad.dropout(a, p_drop, rng) for a in per_pos], axis=1)
     summary = ad.concat([fwd_final, bwd_final], axis=-1)
     return EncoderOutput(annotations, src_mask, summary)
 
@@ -225,15 +221,13 @@ def init_decoder_state(dec: DecoderParams, memory: Memory) -> DecoderState:
 
 def attend(dec: DecoderParams, state_h: Tensor, memory: Memory) -> tuple[Tensor, Tensor]:
     """Context as a convex combination of annotations; PAD gets zero weight."""
-    B, S = memory.mask.shape
+    B = memory.mask.shape[0]
     q = ad.matmul(state_h, dec.att.w_query)
     scores = ad.matmul(ad.tanh(ad.add(memory.ann_keys, ad.reshape(q, (B, 1, -1)))),
                        dec.att.v)
     scores = ad.add(scores, memory.neg_inf)
     alpha = ad.stable_softmax(scores)
-    context = ad.reshape(ad.bmm(ad.reshape(alpha, (B, 1, S)), memory.annotations),
-                         (B, dec.d_ann))
-    return context, alpha
+    return ad.weighted_sum(alpha, memory.annotations), alpha
 
 
 def decode_step(dec: DecoderParams, state: DecoderState, memory: Memory,
@@ -249,14 +243,11 @@ def decode_step(dec: DecoderParams, state: DecoderState, memory: Memory,
         raise ValueError("decoder state is uninitialized")
     p_drop = dec.dropout if train else 0.0
 
-    emb = _embed_step(dec.E, prev_ids, prev_dist)
-    if p_drop:
-        emb = ad.dropout(emb, p_drop, rng)
+    emb = ad.dropout(_embed_step(dec.E, prev_ids, prev_dist), p_drop, rng)
     context, _ = attend(dec, state.h, memory)
     x = ad.concat([emb, context], axis=-1)
     h_new, c_new = dec.cell.step(x, state.h, state.cell)
-    h_for_out = ad.dropout(h_new, p_drop, rng) if p_drop else h_new
-    combined = ad.concat([h_for_out, context], axis=-1)
+    combined = ad.concat([ad.dropout(h_new, p_drop, rng), context], axis=-1)
     out = ad.tanh(ad.add(ad.matmul(combined, dec.w_out), dec.b_out))
     logits = ad.matmul_t(out, dec.E)
     return logits, DecoderState(h_new, c_new)

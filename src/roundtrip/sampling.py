@@ -107,13 +107,13 @@ class SampledSequence:
     """Per-step straight-through samples plus bookkeeping for the return pass."""
 
     steps: list[Tensor]            # each (B, V): hard one-hot forward values
+    ids: np.ndarray                # (B, T) the sampled token ids
     mask: np.ndarray               # (B, T) 1.0 up to and including EOS/cap
     lengths: np.ndarray            # (B,)
     truncated: np.ndarray          # (B,) bool: cap hit before EOS
 
     def token_ids(self, row: int) -> list[int]:
-        return [int(self.steps[t].data[row].argmax())
-                for t in range(int(self.lengths[row]))]
+        return self.ids[row, :self.lengths[row]].tolist()
 
 
 def sample_translation(params: ModelParams, src_ids: np.ndarray, src_mask: np.ndarray,
@@ -138,6 +138,7 @@ def sample_translation(params: ModelParams, src_ids: np.ndarray, src_mask: np.nd
     truncated = np.zeros(B, dtype=bool)
     lengths = np.zeros(B, dtype=int)
     steps: list[Tensor] = []
+    ids: list[np.ndarray] = []
 
     prev_ids: np.ndarray | None = np.full(B, bos_id, dtype=np.int64)
     prev_dist: Tensor | None = None
@@ -149,6 +150,7 @@ def sample_translation(params: ModelParams, src_ids: np.ndarray, src_mask: np.nd
         steps.append(st)
 
         hard_ids = (logits.data + g).argmax(axis=-1)
+        ids.append(hard_ids)
         active = ~done
         lengths[active] = t + 1
         if stop_on_eos:
@@ -162,4 +164,4 @@ def sample_translation(params: ModelParams, src_ids: np.ndarray, src_mask: np.nd
 
     T = len(steps)
     mask = (np.arange(T)[None, :] < lengths[:, None]).astype(ad.default_dtype())
-    return SampledSequence(steps, mask, lengths, truncated)
+    return SampledSequence(steps, np.stack(ids, axis=1), mask, lengths, truncated)

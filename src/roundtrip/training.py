@@ -103,15 +103,6 @@ class HiddenReconstructorParams:
         return out
 
 
-def _masked_mean_states(states: list[Tensor], mask: np.ndarray) -> Tensor:
-    total = None
-    for t, s in enumerate(states):
-        term = ad.mul(s, ad.constant(mask[:, t: t + 1]))
-        total = term if total is None else ad.add(total, term)
-    inv_n = 1.0 / np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
-    return ad.mul(total, ad.constant(inv_n))
-
-
 def hidden_reconstruction_loss(params: ModelParams, batch: Batch,
                                aux: HiddenReconstructorParams, bos_id: int,
                                w_enc: float = 0.5, w_dec: float = 0.5,
@@ -135,9 +126,12 @@ def hidden_reconstruction_loss(params: ModelParams, batch: Batch,
         aux.dec_enc, mem_enc, batch.src_ids, batch.src_mask, bos_id, train=train,
         rng=rng)
 
+    # the summary is the mean of the decoder states over each row's targets
+    mask = batch.tgt_mask
     dec_ann = ad.stack(dec_states, axis=1)
-    dec_summary = _masked_mean_states(dec_states, batch.tgt_mask)
-    enc_like = EncoderOutput(dec_ann, batch.tgt_mask, dec_summary)
+    dec_summary = ad.weighted_sum(
+        ad.constant(mask / np.maximum(mask.sum(axis=1, keepdims=True), 1.0)), dec_ann)
+    enc_like = EncoderOutput(dec_ann, mask, dec_summary)
     mem_dec = prepare_memory(aux.dec_dec, enc_like)
     dec_sum_t, _, _ = sequence_nll(
         aux.dec_dec, mem_dec, batch.src_ids, batch.src_mask, bos_id, train=train,
@@ -256,14 +250,18 @@ def _append_rows(path: str, header, rows) -> None:
 
 
 def _keep_rows_until(path: str, update: int) -> None:
-    """Drop the rows of the CSV log `path` past `update`, writing it whole."""
+    """Drop the rows of the CSV log `path` past `update`, writing it whole;
+    a log with no such row is left untouched."""
     if not os.path.exists(path):
         return
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
     column = header.index("update")
+    kept = [r for r in rows if int(r[column]) <= update]
+    if len(kept) == len(rows):
+        return
     text = io.StringIO()
-    csv.writer(text).writerows([header] + [r for r in rows if int(r[column]) <= update])
+    csv.writer(text).writerows([header] + kept)
     ckpt_io.write_whole(path, lambda fh: fh.write(text.getvalue().encode("utf-8")))
 
 
@@ -442,6 +440,12 @@ class Trainer:
         self.scheduler.load_state(meta["scheduler"])
         self.update = meta["update"]
         self.n_checkpoints = meta["checkpoint"]
+        self._keep_logs_until_update()
+
+    def _keep_logs_until_update(self) -> None:
+        """The trainer's one rule for its logs: they hold the rows at or before
+        its update. A fresh run therefore starts them anew and a restored run
+        goes on from the rows of the checkpoint it restored."""
         for path in (self.metrics_path, self.bleu_path):
             _keep_rows_until(path, self.update)
 
@@ -470,6 +474,7 @@ class Trainer:
         config's; 0 = none), up to the first at the cap or where the schedule stops."""
         cfg = self.cfg
         cap = max_updates if max_updates is not None else cfg.max_updates
+        self._keep_logs_until_update()
         checkpoints: list[str] = []
         metrics: list[dict] = []
         best_path = ""

@@ -69,9 +69,12 @@ def primitive_checks(seed: int = 0) -> list[ComponentReport]:
     check("matmul_t",
           lambda x: ad.reduce_sum(ad.matmul_t(x, m46)),
           Tensor(rng.standard_normal((5, 6)), requires_grad=True))
-    b3 = ad.constant(rng.standard_normal((2, 4, 3)))
-    check("bmm", lambda x: ad.reduce_sum(ad.bmm(x, b3)),
-          Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True))
+    w_ws = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+    v_ws = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
+    w23 = ad.constant(rng.standard_normal((2, 3)))
+    for name, point in (("weights", w_ws), ("values", v_ws)):
+        check(f"weighted_sum.{name}",
+              lambda _t: ad.reduce_sum(ad.mul(ad.weighted_sum(w_ws, v_ws), w23)), point)
     bias6 = ad.constant(rng.standard_normal(6))
     w46a = ad.constant(rng.standard_normal((4, 6)))
     check("add", lambda x: ad.reduce_sum(ad.mul(ad.add(x, bias6), w46a)),
@@ -79,6 +82,11 @@ def primitive_checks(seed: int = 0) -> list[ComponentReport]:
     w46 = ad.constant(rng.standard_normal((4, 6)))
     check("mul", lambda x: ad.reduce_sum(ad.mul(x, w46)),
           Tensor(rng.standard_normal((4, 6)), requires_grad=True))
+    v4 = ad.constant(rng.standard_normal(4))
+    check("scalar_mul", lambda x: ad.reduce_sum(ad.mul(ad.scalar_mul(x, -1.7), v4)),
+          Tensor(rng.standard_normal(4), requires_grad=True))
+    check("reduce_sum", lambda x: ad.reduce_sum(x),
+          Tensor(rng.standard_normal((2, 3)), requires_grad=True))
     v8a = ad.constant(rng.standard_normal(8))
     check("tanh", lambda x: ad.reduce_sum(ad.mul(ad.tanh(x), v8a)),
           Tensor(rng.standard_normal(8), requires_grad=True))
@@ -87,6 +95,14 @@ def primitive_checks(seed: int = 0) -> list[ComponentReport]:
     check("concat",
           lambda x: ad.reduce_sum(ad.mul(ad.concat([x, tail], axis=-1), w35)),
           Tensor(rng.standard_normal((3, 3)), requires_grad=True))
+    other = ad.constant(rng.standard_normal((2, 3)))
+    w232 = ad.constant(rng.standard_normal((2, 3, 2)))
+    check("stack",
+          lambda x: ad.reduce_sum(ad.mul(ad.stack([x, other], axis=-1), w232)),
+          Tensor(rng.standard_normal((2, 3)), requires_grad=True))
+    w32 = ad.constant(rng.standard_normal((3, 2)))
+    check("reshape", lambda x: ad.reduce_sum(ad.mul(ad.reshape(x, (3, 2)), w32)),
+          Tensor(rng.standard_normal((2, 3)), requires_grad=True))
     ids = np.array([0, 2, 1, 2])
     w43 = ad.constant(rng.standard_normal((4, 3)))
     check("embedding",

@@ -1,11 +1,14 @@
 """Tensor/tape primitives against the finite-difference oracle."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roundtrip import autodiff as ad
+from roundtrip import verification
 from roundtrip.autodiff import Tape, TapeError, Tensor, backward, grad_check
 
 
@@ -162,6 +165,59 @@ class TestLstmCell:
         assert len(tape.nodes) == 2
 
 
+class TestWeightedSum:
+    @pytest.mark.parametrize("precision", ["fp32", "fp64"])
+    @pytest.mark.parametrize("S", [1, 3])
+    def test_matches_the_reshape_bmm_reshape_graph_byte_for_byte(self, precision, S):
+        # the reference is the graph weighted_sum replaced, in plain numpy:
+        # (B, S) -> (B, 1, S), a batched one-row matmul, (B, 1, D) -> (B, D),
+        # each backward as that node computed it; a zero weight meeting a
+        # negative gradient gives the +0.0 that bmm's one-row path gave
+        B, D = 2, 4
+        with ad.using_dtype(precision):
+            rng = np.random.default_rng(S)
+            w = Tensor(rng.random((B, S)), requires_grad=True)
+            v = Tensor(rng.standard_normal((B, S, D)), requires_grad=True)
+            w.data[0, 0] = 0.0
+            g = ad.constant(-np.abs(rng.standard_normal((B, D))))
+            with Tape() as tape:
+                out = ad.weighted_sum(w, v)
+                loss = ad.reduce_sum(ad.mul(out, g))
+            backward(tape, loss)
+        w3 = w.data.reshape(B, 1, S)
+        g3 = g.data.reshape(B, 1, D)
+        want = [(w3 @ v.data).reshape(B, D),
+                (g3 @ v.data.transpose(0, 2, 1)).reshape(B, S),
+                w3.transpose(0, 2, 1) * g3 + 0.0]
+        assert not np.signbit(v.grad[0, 0]).any()
+        for got, ref in zip([out.data, w.grad, v.grad], want):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    def test_records_one_node(self):
+        w = Tensor(np.full((2, 3), 1 / 3), requires_grad=True)
+        with Tape() as tape:
+            ad.weighted_sum(w, ad.constant(np.ones((2, 3, 4))))
+        assert len(tape.nodes) == 1
+
+    def test_shape_mismatch_errors(self):
+        with pytest.raises(ValueError, match="weighted_sum"):
+            ad.weighted_sum(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4, 5))))
+
+
+def test_every_recording_primitive_has_a_named_check():
+    # a public function of autodiff that records a node needs a check in the
+    # fp64 suite named for it, as the name itself or as `name.<part>`
+    recording = sorted(name for name, fn in inspect.getmembers(ad, inspect.isfunction)
+                       if fn.__module__ == ad.__name__ and not name.startswith("_")
+                       and name != "record" and "record(" in inspect.getsource(fn))
+    assert "lstm_cell" in recording and "backward" not in recording
+    with ad.using_dtype("fp64"):
+        names = [r.name for r in verification.primitive_checks(0)]
+    unchecked = [p for p in recording
+                 if not any(n == p or n.startswith(p + ".") for n in names)]
+    assert unchecked == []
+
+
 class TestLayerNorm:
     """The layer norm inside the fused cell."""
 
@@ -244,6 +300,18 @@ class TestBackward:
         backward(tape, loss)
         np.testing.assert_array_equal(dead.grad, np.zeros(2))
         np.testing.assert_array_equal(x.grad, 2 * x.data)
+
+    def test_only_leaves_keep_their_gradients(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        w = Tensor([3.0, -1.0], requires_grad=True)
+        with Tape() as tape:
+            h = ad.tanh(ad.mul(x, w))
+            loss = ad.reduce_sum(ad.add(h, h))
+        backward(tape, loss)
+        assert all(out.grad is None for out, _, _ in tape.nodes)
+        dh = 2.0 * (1.0 - np.tanh(x.data * w.data) ** 2)
+        np.testing.assert_allclose(x.grad, dh * w.data, rtol=1e-12)
+        np.testing.assert_allclose(w.grad, dh * x.data, rtol=1e-12)
 
     def test_accumulation_is_additive(self):
         x = Tensor([1.0, 1.0], requires_grad=True)

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import contextlib
+import csv
 import io
 import json
 import os
@@ -137,6 +138,18 @@ class TestTrainCommands:
         assert run_cli("train", "--config", cfg_path, "--out-dir", out) == 0
         body = open(os.path.join(out, "bleu.csv")).read()
         assert "l1-l2" in body and "l2-l1" in body
+
+    def test_a_fresh_run_starts_its_logs_anew(self, tmp_path, corpus_dir):
+        # a second run into the same out_dir leaves the logs of one run
+        cfg_path = write_config(tmp_path, corpus_dir, eval_bleu=True,
+                                max_updates=4, checkpoint_interval=2)
+        out = str(tmp_path / "twice")
+        for _ in range(2):
+            assert run_cli("train", "--config", cfg_path, "--out-dir", out) == 0
+        with open(os.path.join(out, "metrics.csv"), newline="") as fh:
+            assert [row["update"] for row in csv.DictReader(fh)] == ["2", "4"]
+        with open(os.path.join(out, "bleu.csv"), newline="") as fh:
+            assert [row["update"] for row in csv.DictReader(fh)] == ["2", "2", "4", "4"]
 
     def test_readme_names_every_file_training_writes(self, tmp_path, corpus_dir):
         # with dev BLEU and BPE on, training writes each file the README's

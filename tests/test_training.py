@@ -205,6 +205,27 @@ class TestObjectives:
             params, batch, aux, bos_id=1, w_enc=0.3, w_dec=0.7)
         assert recon_sum / n_tokens == pytest.approx(float(recon.data), rel=1e-12)
 
+    def test_hidden_summary_is_the_masked_mean_of_decoder_states(self, monkeypatch):
+        # the decoder-side reconstructor starts from the mean of the
+        # translation pass's decoder states over each row's target tokens
+        memories = []
+
+        def spy(dec, enc):
+            memories.append(enc)
+            return prepare_memory(dec, enc)
+
+        monkeypatch.setattr(training, "prepare_memory", spy)
+        with ad.using_dtype("fp32"):
+            params = tiny_params(seed=3)
+            aux = HiddenReconstructorParams(params.config, np.random.default_rng(4))
+            hidden_reconstruction_loss(params, toy_batch(), aux, bos_id=1)
+        enc_like = memories[-1]
+        states = enc_like.annotations.data.astype(np.float64)
+        mask = enc_like.mask
+        want = (states * mask[:, :, None]).sum(axis=1) / mask.sum(axis=1, keepdims=True)
+        assert enc_like.summary.data.dtype == np.float32
+        np.testing.assert_allclose(enc_like.summary.data, want, rtol=1e-6, atol=1e-7)
+
     def test_hidden_aux_shape_mismatch_errors(self, fp64):
         params = tiny_params(seed=3, d=6)
         other_cfg = ModelConfig(vocab_size=9, d_emb=4, d_hidden=4, d_attention=4)
