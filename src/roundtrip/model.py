@@ -161,17 +161,10 @@ class DecoderState:
     cell: Tensor
 
 
-def _embed_step(E: Tensor, ids: np.ndarray | None, dist: Tensor | None) -> Tensor:
-    """Previous-token embedding: hard id lookup or distribution-weighted rows."""
-    if dist is not None:
-        return ad.matmul(dist, E)
-    return ad.embedding(E, ids)
-
-
 def encode(params: ModelParams, src_ids: np.ndarray | None, src_mask: np.ndarray,
-           src_dists: Sequence[Tensor] | None = None, train: bool = False,
+           src_embs: Sequence[Tensor] | None = None, train: bool = False,
            rng: np.random.Generator | None = None) -> EncoderOutput:
-    """Bi-directional encoder; accepts hard ids or per-position distributions.
+    """Bi-directional encoder; accepts hard ids or per-position embeddings.
 
     Masked positions never update the recurrent state, so final states equal
     the states at each sentence's own last valid token.
@@ -184,10 +177,7 @@ def encode(params: ModelParams, src_ids: np.ndarray | None, src_mask: np.ndarray
 
     embs = []
     for t in range(S):
-        if src_dists is not None:
-            e = _embed_step(params.E, None, src_dists[t])
-        else:
-            e = _embed_step(params.E, src_ids[:, t], None)
+        e = src_embs[t] if src_embs is not None else ad.embedding(params.E, src_ids[:, t])
         embs.append(ad.dropout(e, p_drop, rng))
 
     def run(cell: LstmCellParams, order):
@@ -231,19 +221,20 @@ def attend(dec: DecoderParams, state_h: Tensor, memory: Memory) -> tuple[Tensor,
 
 
 def decode_step(dec: DecoderParams, state: DecoderState, memory: Memory,
-                prev_ids: np.ndarray | None = None, prev_dist: Tensor | None = None,
+                prev_ids: np.ndarray | None = None, prev_emb: Tensor | None = None,
                 train: bool = False,
                 rng: np.random.Generator | None = None) -> tuple[Tensor, DecoderState]:
     """One decoder step: returns next-token logits and the new state.
 
-    prev_ids feeds a hard token; prev_dist feeds a soft distribution whose
-    embedding is the distribution-weighted average of embedding rows.
+    prev_ids feeds a token by id; prev_emb feeds a (B, d_emb) embedding as is.
     """
     if state is None:
         raise ValueError("decoder state is uninitialized")
     p_drop = dec.dropout if train else 0.0
 
-    emb = ad.dropout(_embed_step(dec.E, prev_ids, prev_dist), p_drop, rng)
+    if prev_emb is None:
+        prev_emb = ad.embedding(dec.E, prev_ids)
+    emb = ad.dropout(prev_emb, p_drop, rng)
     context, _ = attend(dec, state.h, memory)
     x = ad.concat([emb, context], axis=-1)
     h_new, c_new = dec.cell.step(x, state.h, state.cell)

@@ -1,9 +1,10 @@
 """Gumbel-Max sampling of translations with straight-through gradients.
 
-The decoder self-feeds: step t consumes its own step t-1 sample, hard on the
-forward pass and soft (tempered softmax of the same perturbed logits) on the
-backward pass. Noise is redrawn i.i.d. per step and position and is treated
-as a constant in differentiation.
+The decoder self-feeds: step t consumes the embedding of its own step t-1
+sample, the sampled token's row on the forward pass and the soft (tempered
+softmax of the same perturbed logits) embedding on the backward pass. Noise
+is redrawn i.i.d. per step and position and is treated as a constant in
+differentiation.
 """
 
 from __future__ import annotations
@@ -64,49 +65,54 @@ def sample_gumbel(shape, beta: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def gumbel_max_step(logits: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """One-hot at argmax(logits + noise); ties go to the lowest index."""
+    """Ids of argmax(logits + noise) over the last axis; ties go to the lowest id."""
     if logits.shape != noise.shape:
         raise ValueError("logits and noise shapes must match")
     if not np.all(np.isfinite(logits)):
         raise ValueError("gumbel_max_step on non-finite logits")
-    perturbed = logits + noise
-    idx = perturbed.argmax(axis=-1)
-    hard = np.zeros_like(perturbed)
-    np.put_along_axis(hard, idx[..., None], 1.0, axis=-1)
-    return hard
+    return (logits + noise).argmax(axis=-1)
 
 
-def stgs_combine(logits: Tensor, noise: np.ndarray, tau: float,
-                 soft_forward: bool = False) -> Tensor:
-    """Hard one-hot forward, tempered-softmax backward.
+def stgs_embed(logits: Tensor, noise: np.ndarray, tau: float, E: Tensor,
+               soft_forward: bool = False) -> tuple[Tensor, np.ndarray]:
+    """Straight-through embedding of one sampled token per row.
 
-    Returns the token value. Its gradient w.r.t. logits is exactly the
-    gradient of softmax((logits+noise)/tau); with soft_forward=True the
-    forward value is that soft distribution itself, which makes the whole
-    sampling path finite-difference checkable.
+    Returns (embedding, ids). The forward value is the sampled token's row of
+    E; the gradient is exactly that of softmax((logits+noise)/tau) @ E w.r.t.
+    logits, while E's gradient is the row scatter an embedding lookup gives.
+    With soft_forward=True the forward value is that soft embedding itself,
+    and E's gradient its own, which makes the whole sampling path
+    finite-difference checkable.
     """
     if tau <= 0:
         raise ValueError("tau must be > 0")
-    hard = gumbel_max_step(logits.data, noise)
+    ids = gumbel_max_step(logits.data, noise)
     z = (logits.data + noise) / tau
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     soft = e / e.sum(axis=-1, keepdims=True)
+    E_data = E.data
 
-    out = Tensor(soft if soft_forward else hard)
+    out = Tensor(soft @ E_data if soft_forward else E_data[ids])
 
     def bwd(g):
-        inner = (g * soft).sum(axis=-1, keepdims=True)
-        return (soft * (g - inner) / tau,)
+        g_dist = g @ E_data.T
+        inner = (g_dist * soft).sum(axis=-1, keepdims=True)
+        if soft_forward:
+            gE = soft.T @ g
+        else:
+            gE = np.zeros_like(E_data)
+            np.add.at(gE, ids, g)
+        return soft * (g_dist - inner) / tau, gE
 
-    return ad.record(out, (logits,), bwd)
+    return ad.record(out, (logits, E), bwd), ids
 
 
 @dataclass
 class SampledSequence:
     """Per-step straight-through samples plus bookkeeping for the return pass."""
 
-    steps: list[Tensor]            # each (B, V): hard one-hot forward values
+    steps: list[Tensor]            # each (B, d_emb): the sampled tokens' embeddings
     ids: np.ndarray                # (B, T) the sampled token ids
     mask: np.ndarray               # (B, T) 1.0 up to and including EOS/cap
     lengths: np.ndarray            # (B,)
@@ -141,15 +147,13 @@ def sample_translation(params: ModelParams, src_ids: np.ndarray, src_mask: np.nd
     ids: list[np.ndarray] = []
 
     prev_ids: np.ndarray | None = np.full(B, bos_id, dtype=np.int64)
-    prev_dist: Tensor | None = None
+    prev_emb: Tensor | None = None
     for t in range(int(caps.max())):
         logits, state = decode_step(params.dec, state, memory, prev_ids=prev_ids,
-                                    prev_dist=prev_dist, train=train, rng=rng)
-        g = noise.draw(logits.shape)
-        st = stgs_combine(logits, g, cfg.tau, soft_forward=soft_forward)
-        steps.append(st)
-
-        hard_ids = (logits.data + g).argmax(axis=-1)
+                                    prev_emb=prev_emb, train=train, rng=rng)
+        emb, hard_ids = stgs_embed(logits, noise.draw(logits.shape), cfg.tau,
+                                   params.dec.E, soft_forward=soft_forward)
+        steps.append(emb)
         ids.append(hard_ids)
         active = ~done
         lengths[active] = t + 1
@@ -160,7 +164,7 @@ def sample_translation(params: ModelParams, src_ids: np.ndarray, src_mask: np.nd
         done |= at_cap
         if done.all():
             break
-        prev_ids, prev_dist = None, st
+        prev_ids, prev_emb = None, emb
 
     T = len(steps)
     mask = (np.arange(T)[None, :] < lengths[:, None]).astype(ad.default_dtype())

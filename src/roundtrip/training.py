@@ -72,7 +72,7 @@ def reconstruction_loss(params: ModelParams, batch: Batch, noise: GumbelNoiseSou
     sampled = sample_translation(params, batch.src_ids, batch.src_mask, noise,
                                  stgs, bos_id, eos_id, train=train, rng=rng,
                                  soft_forward=soft_forward, stop_on_eos=stop_on_eos)
-    enc = encode(params, None, sampled.mask, src_dists=sampled.steps,
+    enc = encode(params, None, sampled.mask, src_embs=sampled.steps,
                  train=train, rng=rng)
     memory = prepare_memory(params.dec, enc)
     loss_sum, n_tokens, _ = sequence_nll(

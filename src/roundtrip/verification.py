@@ -19,7 +19,7 @@ from .autodiff import Tensor, grad_check
 from .data import Batch
 from .model import (ModelConfig, ModelParams, decode_step, encode,
                     init_decoder_state, prepare_memory)
-from .sampling import GumbelNoiseSource, STGSConfig, sample_gumbel, stgs_combine
+from .sampling import GumbelNoiseSource, STGSConfig, sample_gumbel, stgs_embed
 from .training import reconstruction_loss, translation_loss
 
 TOLERANCE = 1e-5
@@ -192,17 +192,20 @@ def encode_one_token_check(seed: int = 0) -> ComponentReport:
     return ComponentReport("encode_one_token", check_over_params(build_loss, encoder))
 
 
-def stgs_soft_check(seed: int = 0) -> ComponentReport:
+def stgs_soft_checks(seed: int = 0) -> list[ComponentReport]:
+    """The sampler's soft embedding, over the logits and over E."""
     rng = np.random.default_rng([seed, 9])
     noise = sample_gumbel((3, 6), 1.0, np.random.default_rng([seed, 10]))
-    fixed = ad.constant(rng.standard_normal((3, 6)))
+    logits = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
+    E = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
+    fixed = ad.constant(rng.standard_normal((3, 4)))
 
-    def f(logits: Tensor) -> Tensor:
-        st = stgs_combine(logits, noise, tau=2.0, soft_forward=True)
-        return ad.reduce_sum(ad.mul(st, fixed))
+    def loss() -> Tensor:
+        emb, _ = stgs_embed(logits, noise, tau=2.0, E=E, soft_forward=True)
+        return ad.reduce_sum(ad.mul(emb, fixed))
 
-    point = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
-    return ComponentReport("stgs_soft_path", grad_check(f, point))
+    return [ComponentReport(f"stgs_soft_path.{name}", grad_check(lambda _t: loss(), t))
+            for name, t in (("logits", logits), ("E", E))]
 
 
 def end_to_end_check(seed: int = 0) -> ComponentReport:
@@ -234,7 +237,7 @@ def run_suite(seed: int = 0) -> list[ComponentReport]:
         reports = primitive_checks(seed)
         reports.append(encode_one_token_check(seed))
         reports.append(decode_step_check(seed))
-        reports.append(stgs_soft_check(seed))
+        reports.extend(stgs_soft_checks(seed))
         reports.append(end_to_end_check(seed))
     return reports
 
@@ -243,5 +246,5 @@ def format_suite(reports: list[ComponentReport]) -> str:
     lines = []
     for r in reports:
         flag = "ok" if r.ok else "FAIL"
-        lines.append(f"{r.name:<20} max_rel_err={r.max_rel_err:.3e}  [{flag}]")
+        lines.append(f"{r.name:<22} max_rel_err={r.max_rel_err:.3e}  [{flag}]")
     return "\n".join(lines)

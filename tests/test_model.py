@@ -92,18 +92,17 @@ class TestDecodeStep:
         logits, _ = decode_step(params.dec, state, memory, prev_ids=np.array([1, 1]))
         assert logits.shape == (2, 9)
 
-    def test_soft_onehot_equals_hard_exactly(self, fp64):
+    def test_embedding_feed_equals_id_feed_exactly(self, fp64):
         params = tiny_params()
         src_ids, src_mask, _, _ = toy_batch()
         memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
         state = init_decoder_state(params.dec, memory)
-        hard, _ = decode_step(params.dec, state, memory, prev_ids=np.array([6, 7]))
-        onehots = np.zeros((2, 9))
-        onehots[0, 6] = 1.0
-        onehots[1, 7] = 1.0
+        ids = np.array([6, 7])
+        by_id, _ = decode_step(params.dec, state, memory, prev_ids=ids)
         state2 = init_decoder_state(params.dec, memory)
-        soft, _ = decode_step(params.dec, state2, memory, prev_dist=ad.constant(onehots))
-        assert np.array_equal(hard.data, soft.data)
+        by_emb, _ = decode_step(params.dec, state2, memory,
+                                prev_emb=ad.constant(params.E.data[ids]))
+        assert by_id.data.tobytes() == by_emb.data.tobytes()
 
     def test_attention_weights_sum_to_one(self, fp64):
         params = tiny_params()

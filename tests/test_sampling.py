@@ -8,9 +8,10 @@ from roundtrip.autodiff import Tape, Tensor, backward, grad_check
 from roundtrip.evaluation import greedy_decode
 from roundtrip.model import ModelConfig, ModelParams
 from roundtrip.sampling import (GumbelNoiseSource, STGSConfig, gumbel_max_step,
-                                sample_gumbel, sample_translation, stgs_combine)
+                                sample_gumbel, sample_translation, stgs_embed)
 
 EULER_MASCHERONI = 0.5772156649
+DTYPES = {"fp32": np.float32, "fp64": np.float64}
 
 
 def tiny_params(vocab_size=9, d=6, seed=0):
@@ -72,16 +73,13 @@ class TestSampleGumbel:
 
 class TestGumbelMaxStep:
     def test_zero_noise_is_greedy(self):
-        out = gumbel_max_step(np.array([2.0, 1.0]), np.zeros(2))
-        np.testing.assert_array_equal(out, [1.0, 0.0])
+        assert gumbel_max_step(np.array([2.0, 1.0]), np.zeros(2)) == 0
 
     def test_noise_flips_argmax(self):
-        out = gumbel_max_step(np.array([0.0, 0.0]), np.array([0.1, 0.9]))
-        np.testing.assert_array_equal(out, [0.0, 1.0])
+        assert gumbel_max_step(np.array([0.0, 0.0]), np.array([0.1, 0.9])) == 1
 
     def test_ties_break_to_lowest_index(self):
-        out = gumbel_max_step(np.array([1.0, 1.0, 1.0]), np.zeros(3))
-        np.testing.assert_array_equal(out, [1.0, 0.0, 0.0])
+        assert gumbel_max_step(np.array([1.0, 1.0, 1.0]), np.zeros(3)) == 0
 
     def test_non_finite_logits_error(self):
         with pytest.raises(ValueError):
@@ -92,8 +90,8 @@ class TestGumbelMaxStep:
         rng = np.random.default_rng(7)
         n = 100_000
         noise = sample_gumbel((n, 4), 1.0, rng)
-        hard = gumbel_max_step(np.tile(logits, (n, 1)), noise)
-        freq = hard.mean(axis=0)
+        ids = gumbel_max_step(np.tile(logits, (n, 1)), noise)
+        freq = np.bincount(ids, minlength=4) / n
         probs = ad.stable_softmax(Tensor(logits)).data
         np.testing.assert_allclose(freq, probs, atol=0.01)
 
@@ -103,18 +101,51 @@ class TestGumbelMaxStep:
         beta = 2.0
         n = 100_000
         noise = sample_gumbel((n, 4), beta, np.random.default_rng(8))
-        freq = gumbel_max_step(np.tile(logits, (n, 1)), noise).mean(axis=0)
+        ids = gumbel_max_step(np.tile(logits, (n, 1)), noise)
+        freq = np.bincount(ids, minlength=4) / n
         probs = ad.stable_softmax(Tensor(logits / beta)).data
         np.testing.assert_allclose(freq, probs, atol=0.01)
 
 
+def _soft(logits, noise, tau):
+    z = (logits + noise) / tau
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _embed_inputs(dtype, B=5, V=4, d=3, seed=0):
+    """Logits, noise, E and an upstream gradient whose sampled ids repeat."""
+    rng = np.random.default_rng(seed)
+    logits = rng.standard_normal((B, V)).astype(dtype)
+    noise = rng.gumbel(size=(B, V)).astype(dtype)
+    E = rng.standard_normal((V, d)).astype(dtype)
+    g = rng.standard_normal((B, d)).astype(dtype)
+    return logits, noise, E, g
+
+
+def _embed_grads(logits, noise, E, g, soft_forward=False, tau=2.0):
+    """(embedding, ids, logits gradient, E gradient) of sum(stgs_embed * g)."""
+    lt = Tensor(logits, requires_grad=True)
+    Et = Tensor(E, requires_grad=True)
+    with Tape() as tape:
+        emb, ids = stgs_embed(lt, noise, tau, Et, soft_forward=soft_forward)
+        loss = ad.reduce_sum(ad.mul(emb, ad.constant(g)))
+    backward(tape, loss)
+    return emb.data, ids, lt.grad, Et.grad
+
+
 class TestStgsCombine:
+    """`stgs_embed`: the sampled token's embedding row forward, the tempered
+    softmax embedding's gradient backward."""
+
     def test_tie_forward_hard_backward_soft(self, fp64):
         logits = Tensor(np.array([[1.0, 1.0]]), requires_grad=True)
+        E = Tensor(np.eye(2))  # embedding rows are the one-hots themselves
         with Tape() as tape:
-            st = stgs_combine(logits, np.zeros((1, 2)), tau=2.0)
+            st, ids = stgs_embed(logits, np.zeros((1, 2)), tau=2.0, E=E)
             loss = ad.reduce_sum(ad.mul(st, ad.constant(np.array([[1.0, 0.0]]))))
-        soft = stgs_combine(logits, np.zeros((1, 2)), tau=2.0, soft_forward=True)
+        soft, _ = stgs_embed(logits, np.zeros((1, 2)), tau=2.0, E=E, soft_forward=True)
+        np.testing.assert_array_equal(ids, [0])
         np.testing.assert_array_equal(st.data, [[1.0, 0.0]])
         np.testing.assert_allclose(soft.data, [[0.5, 0.5]])
         backward(tape, loss)
@@ -125,47 +156,117 @@ class TestStgsCombine:
     def test_gradient_equals_soft_path_finite_differences(self, fp64):
         rng = np.random.default_rng(11)
         noise = sample_gumbel((2, 6), 1.0, np.random.default_rng(12))
-        fixed = ad.constant(rng.standard_normal((2, 6)))
+        fixed = ad.constant(rng.standard_normal((2, 3)))
+        logits = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
+        E = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
 
-        def f(x):
-            st = stgs_combine(x, noise, tau=2.0, soft_forward=True)
+        def f(_point):
+            st, _ = stgs_embed(logits, noise, 2.0, E, soft_forward=True)
             return ad.reduce_sum(ad.mul(st, fixed))
 
-        point = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
-        assert grad_check(f, point, 1e-5) < 1e-5
+        assert grad_check(f, logits, 1e-5) < 1e-5
+        assert grad_check(f, E, 1e-5) < 1e-5
 
     def test_hard_and_soft_modes_share_gradients(self, fp64):
-        rng = np.random.default_rng(4)
-        noise = sample_gumbel((1, 5), 1.0, np.random.default_rng(5))
-        fixed = ad.constant(rng.standard_normal((1, 5)))
-        grads = []
-        for soft_forward in (False, True):
-            logits = Tensor(rng.standard_normal((1, 5)), requires_grad=True)
-            data = logits.data.copy()
-            with Tape() as tape:
-                st = stgs_combine(logits, noise, 2.0, soft_forward=soft_forward)
-                loss = ad.reduce_sum(ad.mul(st, fixed))
-            backward(tape, loss)
-            grads.append((data, logits.grad))
-        # same point gives the same backward regardless of forward mode
-        logits2 = Tensor(grads[0][0], requires_grad=True)
-        with Tape() as tape:
-            st = stgs_combine(logits2, noise, 2.0, soft_forward=True)
-            loss = ad.reduce_sum(ad.mul(st, fixed))
-        backward(tape, loss)
-        np.testing.assert_allclose(grads[0][1], logits2.grad, rtol=1e-12)
+        logits, noise, E, g = _embed_inputs(np.float64, seed=4)
+        _, _, hard_grad, _ = _embed_grads(logits, noise, E, g)
+        _, _, soft_grad, _ = _embed_grads(logits, noise, E, g, soft_forward=True)
+        # same point gives the same logits gradient regardless of forward mode
+        np.testing.assert_array_equal(hard_grad, soft_grad)
 
     def test_small_tau_approaches_hard(self, fp64):
         logits = Tensor(np.array([[3.0, 0.0, -1.0]]))
-        st = stgs_combine(logits, np.zeros((1, 3)), tau=1e-3)
-        soft = stgs_combine(logits, np.zeros((1, 3)), tau=1e-3, soft_forward=True)
+        E = Tensor(np.random.default_rng(6).standard_normal((3, 2)))
+        st, _ = stgs_embed(logits, np.zeros((1, 3)), tau=1e-3, E=E)
+        soft, _ = stgs_embed(logits, np.zeros((1, 3)), tau=1e-3, E=E, soft_forward=True)
         np.testing.assert_allclose(soft.data, st.data, atol=1e-6)
 
     def test_invalid_tau_rejected(self):
-        with pytest.raises(ValueError):
-            stgs_combine(Tensor(np.zeros((1, 2))), np.zeros((1, 2)), tau=0.0)
+        E = Tensor(np.eye(2))
+        for tau in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                stgs_embed(Tensor(np.zeros((1, 2))), np.zeros((1, 2)), tau=tau, E=E)
         with pytest.raises(ValueError):
             STGSConfig(tau=-1.0)
+
+    def test_non_finite_logits_rejected(self):
+        with pytest.raises(ValueError):
+            stgs_embed(Tensor(np.array([[np.inf, 0.0]])), np.zeros((1, 2)), 2.0,
+                       Tensor(np.eye(2)))
+
+    def test_ties_go_to_the_lowest_id(self):
+        _, ids = stgs_embed(Tensor(np.zeros((2, 3))), np.zeros((2, 3)), 2.0,
+                            Tensor(np.eye(3)))
+        np.testing.assert_array_equal(ids, [0, 0])
+
+    def test_records_one_node(self, fp64):
+        logits, noise, E, _ = _embed_inputs(np.float64)
+        with Tape() as tape:
+            stgs_embed(Tensor(logits, requires_grad=True), noise, 2.0,
+                       Tensor(E, requires_grad=True))
+        assert len(tape.nodes) == 1
+
+    @pytest.mark.parametrize("precision", ["fp32", "fp64"])
+    def test_hard_forward_is_the_embedding_row(self, precision):
+        dtype = DTYPES[precision]
+        logits, noise, E, g = _embed_inputs(dtype)
+        with ad.using_dtype(precision):
+            emb, ids, _, _ = _embed_grads(logits, noise, E, g)
+        one_hot = np.eye(E.shape[0], dtype=dtype)[ids]
+        assert emb.dtype == dtype
+        assert emb.tobytes() == E[ids].tobytes()
+        assert emb.tobytes() == (one_hot @ E).tobytes()
+
+    @pytest.mark.parametrize("precision", ["fp32", "fp64"])
+    def test_gradients_match_the_one_hot_graph(self, precision):
+        # the graph this replaces: the dense one-hot, read by two consumers
+        # (the next decoder step and the return-pass encoder) through
+        # one_hot @ E each; the ids repeat, so E's rows sum several terms
+        dtype = DTYPES[precision]
+        logits, noise, E, g = _embed_inputs(dtype, B=8, V=3, d=4, seed=2)
+        g2 = np.random.default_rng(3).standard_normal(g.shape).astype(dtype)
+        tau = 2.0
+        with ad.using_dtype(precision):
+            lt, Et = Tensor(logits, requires_grad=True), Tensor(E, requires_grad=True)
+            with Tape() as tape:
+                emb, ids = stgs_embed(lt, noise, tau, Et)
+                loss = ad.add(ad.reduce_sum(ad.mul(emb, ad.constant(g))),
+                              ad.reduce_sum(ad.mul(emb, ad.constant(g2))))
+            backward(tape, loss)
+        assert lt.grad.dtype == Et.grad.dtype == dtype
+        assert len(set(ids.tolist())) < len(ids)
+
+        one_hot = np.eye(E.shape[0], dtype=dtype)[ids]
+        soft = _soft(logits, noise, tau)
+        g_dist = g @ E.T + g2 @ E.T
+        ref_logits = soft * (g_dist - (g_dist * soft).sum(axis=-1, keepdims=True)) / tau
+        ref_E = one_hot.T @ g + one_hot.T @ g2
+        rtol = 1e-5 if precision == "fp32" else 1e-12
+        np.testing.assert_allclose(lt.grad, ref_logits, rtol=rtol, atol=rtol)
+        np.testing.assert_allclose(Et.grad, ref_E, rtol=rtol, atol=rtol)
+
+    @pytest.mark.parametrize("precision", ["fp32", "fp64"])
+    def test_E_gradient_is_the_embedding_scatter(self, precision):
+        dtype = DTYPES[precision]
+        logits, noise, E, g = _embed_inputs(dtype, B=8, V=3, seed=2)
+        with ad.using_dtype(precision):
+            _, ids, _, grad_E = _embed_grads(logits, noise, E, g)
+            table = Tensor(E, requires_grad=True)
+            with Tape() as tape:
+                loss = ad.reduce_sum(ad.mul(ad.embedding(table, ids), ad.constant(g)))
+            backward(tape, loss)
+        assert grad_E.tobytes() == table.grad.tobytes()
+
+    @pytest.mark.parametrize("precision", ["fp32", "fp64"])
+    def test_soft_forward_is_the_soft_embedding(self, precision):
+        dtype = DTYPES[precision]
+        logits, noise, E, g = _embed_inputs(dtype, seed=5)
+        with ad.using_dtype(precision):
+            emb, _, _, grad_E = _embed_grads(logits, noise, E, g, soft_forward=True)
+        soft = _soft(logits, noise, 2.0)
+        rtol = 1e-6 if precision == "fp32" else 1e-12
+        np.testing.assert_allclose(emb, soft @ E, rtol=rtol, atol=rtol)
+        np.testing.assert_allclose(grad_E, soft.T @ g, rtol=rtol, atol=rtol)
 
 
 def toy_source(params, n=2):
@@ -186,15 +287,17 @@ class TestSampleTranslation:
         for b in range(2):
             assert seq.token_ids(b) == greedy[b]
 
-    def test_each_step_is_hard_onehot_and_soft_distribution(self, fp64):
-        params = tiny_params(seed=1)
-        src_ids, src_mask = toy_source(params)
-        noise = GumbelNoiseSource(1.0, 5)
-        seq = sample_translation(params, src_ids, src_mask, noise,
-                                 STGSConfig(tau=2.0), bos_id=1, eos_id=2)
-        for st in seq.steps:
-            assert np.all((st.data == 0.0) | (st.data == 1.0))
-            np.testing.assert_array_equal(st.data.sum(axis=-1), 1.0)
+    @pytest.mark.parametrize("precision", ["fp32", "fp64"])
+    def test_each_step_is_the_sampled_tokens_embedding_row(self, precision):
+        with ad.using_dtype(precision):
+            params = tiny_params(seed=1)
+            src_ids, src_mask = toy_source(params)
+            noise = GumbelNoiseSource(1.0, 5)
+            seq = sample_translation(params, src_ids, src_mask, noise,
+                                     STGSConfig(tau=2.0), bos_id=1, eos_id=2)
+        assert len(seq.steps) == seq.ids.shape[1] > 1
+        for t, st in enumerate(seq.steps):
+            assert st.data.tobytes() == params.E.data[seq.ids[:, t]].tobytes()
 
     def test_cap_truncates_and_flags(self, fp64):
         params = tiny_params(seed=2)
