@@ -179,24 +179,18 @@ def scalar_mul(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b for 2D@2D, ND@2D (stacked rows) and ND@1D (contraction)."""
+    """a @ b for 2D@2D and ND@2D (stacked rows)."""
+    if b.data.ndim != 2:
+        raise ValueError(f"matmul rhs must be 2D, got ndim {b.data.ndim}")
     out = Tensor(a.data @ b.data)
     a_data, b_data = a.data, b.data
 
-    if b_data.ndim == 2:
-        def bwd(g):
-            ga = g @ b_data.T
-            g2 = g.reshape(-1, g.shape[-1])
-            a2 = a_data.reshape(-1, a_data.shape[-1])
-            gb = a2.T @ g2
-            return ga, gb
-    elif b_data.ndim == 1:
-        def bwd(g):
-            ga = g[..., None] * b_data
-            gb = (a_data * g[..., None]).reshape(-1, a_data.shape[-1]).sum(axis=0)
-            return ga, gb
-    else:
-        raise ValueError(f"matmul rhs must be 1D or 2D, got ndim {b_data.ndim}")
+    def bwd(g):
+        ga = g @ b_data.T
+        g2 = g.reshape(-1, g.shape[-1])
+        a2 = a_data.reshape(-1, a_data.shape[-1])
+        gb = a2.T @ g2
+        return ga, gb
 
     return record(out, (a, b), bwd)
 
@@ -240,24 +234,39 @@ def tanh(a: Tensor) -> Tensor:
     return record(out, (a,), lambda g: ((1.0 - y * y) * g,))
 
 
-def stable_softmax(a: Tensor) -> Tensor:
-    """Shift-invariant softmax along the last axis; rejects non-finite input."""
-    x = a.data
-    if x.shape[-1] < 1:
-        raise ValueError("softmax axis must have length >= 1")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("softmax input contains non-finite values")
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(p)
+def attention(h: Tensor, w_query: Tensor, keys: Tensor, v: Tensor,
+              mask: np.ndarray) -> Tensor:
+    """Attention weights (B, S) of one decoder step: the softmax over
+    positions of tanh(keys + h @ w_query) @ v, where a position whose 0/1
+    `mask` is 0 scores 1e9 lower; rejects non-finite scores.
+
+    Values and gradients round exactly as those of the same read built op by
+    op (matmul, reshape, add, tanh, matmul by v, add of the mask's -1e9 bias,
+    max-shifted softmax), so seeded runs match that graph bit for bit.
+    """
+    if (keys.ndim != 3 or h.shape != (keys.shape[0], w_query.shape[0])
+            or w_query.shape[1:] != keys.shape[2:] or v.shape != keys.shape[2:]
+            or np.shape(mask) != keys.shape[:2]):
+        raise ValueError(f"attention shapes h {h.shape}, w_query {w_query.shape}, "
+                         f"keys {keys.shape}, v {v.shape}, mask {np.shape(mask)}")
+    B, S, A = keys.shape
+    h_data, w_data, v_data = h.data, w_query.data, v.data
+    t = np.tanh(keys.data + (h_data @ w_data).reshape(B, 1, A))
+    scores = t @ v_data + np.asarray((1.0 - mask) * -1e9, dtype=_default_dtype)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("attention scores contain non-finite values")
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    out = Tensor(e / e.sum(axis=-1, keepdims=True))
     p = out.data
 
     def bwd(g):
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        return (p * (g - inner),)
+        g_scores = p * (g - (g * p).sum(axis=-1, keepdims=True))
+        g_pre = (1.0 - t * t) * (g_scores[..., None] * v_data)
+        g_v = (t * g_scores[..., None]).reshape(-1, A).sum(axis=0)
+        g_q = _unbroadcast(g_pre, (B, 1, A)).reshape(B, A)
+        return g_q @ w_data.T, h_data.T @ g_q, g_pre, g_v
 
-    return record(out, (a,), bwd)
+    return record(out, (h, w_query, keys, v), bwd)
 
 
 LN_EPSILON = 1e-6
@@ -435,12 +444,6 @@ def stack(xs: Sequence[Tensor], axis: int) -> Tensor:
         return tuple(np.moveaxis(g, axis, 0))
 
     return record(out, tuple(xs), bwd)
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(x.data.reshape(shape))
-    x_shape = x.shape
-    return record(out, (x,), lambda g: (g.reshape(x_shape),))
 
 
 def reduce_sum(x: Tensor) -> Tensor:

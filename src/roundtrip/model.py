@@ -8,7 +8,7 @@ before the sentence. The output projection is the embedding matrix itself
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -148,11 +148,6 @@ class Memory:
     ann_keys: Tensor              # (B, S, d_att)
     mask: np.ndarray
     summary: Tensor
-    neg_inf: Tensor = field(init=False)
-
-    def __post_init__(self):
-        bias = (1.0 - self.mask) * -1e9
-        self.neg_inf = ad.constant(bias)
 
 
 @dataclass
@@ -211,12 +206,7 @@ def init_decoder_state(dec: DecoderParams, memory: Memory) -> DecoderState:
 
 def attend(dec: DecoderParams, state_h: Tensor, memory: Memory) -> tuple[Tensor, Tensor]:
     """Context as a convex combination of annotations; PAD gets zero weight."""
-    B = memory.mask.shape[0]
-    q = ad.matmul(state_h, dec.att.w_query)
-    scores = ad.matmul(ad.tanh(ad.add(memory.ann_keys, ad.reshape(q, (B, 1, -1)))),
-                       dec.att.v)
-    scores = ad.add(scores, memory.neg_inf)
-    alpha = ad.stable_softmax(scores)
+    alpha = ad.attention(state_h, dec.att.w_query, memory.ann_keys, dec.att.v, memory.mask)
     return ad.weighted_sum(alpha, memory.annotations), alpha
 
 

@@ -64,13 +64,18 @@ def sample_gumbel(shape, beta: float, rng: np.random.Generator) -> np.ndarray:
     return -beta * np.log(-np.log(u))
 
 
-def gumbel_max_step(logits: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Ids of argmax(logits + noise) over the last axis; ties go to the lowest id."""
+def _perturbed(logits: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """logits + noise, for finite logits of the noise's shape."""
     if logits.shape != noise.shape:
         raise ValueError("logits and noise shapes must match")
     if not np.all(np.isfinite(logits)):
         raise ValueError("gumbel_max_step on non-finite logits")
-    return (logits + noise).argmax(axis=-1)
+    return logits + noise
+
+
+def gumbel_max_step(logits: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Ids of argmax(logits + noise) over the last axis; ties go to the lowest id."""
+    return _perturbed(logits, noise).argmax(axis=-1)
 
 
 def stgs_embed(logits: Tensor, noise: np.ndarray, tau: float, E: Tensor,
@@ -86,8 +91,9 @@ def stgs_embed(logits: Tensor, noise: np.ndarray, tau: float, E: Tensor,
     """
     if tau <= 0:
         raise ValueError("tau must be > 0")
-    ids = gumbel_max_step(logits.data, noise)
-    z = (logits.data + noise) / tau
+    y = _perturbed(logits.data, noise)
+    ids = y.argmax(axis=-1)
+    z = y / tau
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     soft = e / e.sum(axis=-1, keepdims=True)

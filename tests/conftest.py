@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from roundtrip import autodiff as ad
@@ -10,6 +11,23 @@ from roundtrip.synth import generate_corpus
 def fp64():
     with ad.using_dtype("fp64"):
         yield
+
+
+def softmax(x):
+    """Softmax over the last axis of a numpy array, the max shifted out."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def attention_chain(h, w_query, keys, v, mask):
+    """One attention read as separate ops in plain numpy: the query matmul, a
+    reshape to (B, 1, A), the add of the keys, tanh, the matmul by v, the add
+    of the mask's -1e9 bias in the scores' dtype, and the softmax. Returns
+    the weights and the tanh output."""
+    B = keys.shape[0]
+    t = np.tanh(keys + (h @ w_query).reshape(B, 1, -1))
+    scores = t @ v + ((1.0 - mask) * -1e9).astype(t.dtype)
+    return softmax(scores), t
 
 
 def pairs_from_lines(src_lines, tgt_lines, src_lang="l1", tgt_lang="l2"):

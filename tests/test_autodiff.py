@@ -11,50 +11,134 @@ from roundtrip import autodiff as ad
 from roundtrip import verification
 from roundtrip.autodiff import Tape, TapeError, Tensor, backward, grad_check
 
+from conftest import attention_chain
+
+
+def _attention_inputs(rng, B=2, S=3, H=4, A=5):
+    """Random (h, w_query, keys, v) of one attention read, as requires-grad
+    tensors in call order."""
+    return [Tensor(rng.standard_normal(s), requires_grad=True)
+            for s in [(B, H), (H, A), (B, S, A), (A,)]]
+
+
+def _op_by_op_attention_grads(h, w_query, keys, v, mask, g_alpha):
+    """The backward of the op chain `attention_chain` runs, in plain numpy,
+    each op's backward as its node computed it: the softmax, the bias add
+    (identity), the matmul by v, tanh, the keys add (the query's share summed
+    over positions unless there is one) and the query matmul."""
+    B, S, A = keys.shape
+    p, t = attention_chain(h, w_query, keys, v, mask)
+    g_scores = p * (g_alpha - (g_alpha * p).sum(axis=-1, keepdims=True))
+    g_pre = (1.0 - t * t) * (g_scores[..., None] * v)
+    g_q = (g_pre if S == 1 else g_pre.sum(axis=1, keepdims=True)).reshape(B, A)
+    return {"h": g_q @ w_query.T, "w_query": h.T @ g_q, "keys": g_pre,
+            "v": (t * g_scores[..., None]).reshape(-1, A).sum(axis=0)}
+
+
+class TestAttention:
+    @pytest.mark.parametrize("precision", ["fp32", "fp64"])
+    @pytest.mark.parametrize("mask", [[[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]],
+                                      [[1.0], [1.0]],
+                                      [[0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]]],
+                             ids=["one_masked", "S1", "all_but_one_masked"])
+    def test_matches_op_by_op_graph_byte_for_byte(self, precision, mask):
+        mask = np.array(mask)
+        with ad.using_dtype(precision):
+            rng = np.random.default_rng(mask.size)
+            inputs = _attention_inputs(rng, S=mask.shape[1])
+            g = ad.constant(rng.standard_normal(mask.shape))
+            with Tape() as tape:
+                alpha = ad.attention(*inputs, mask)
+                loss = ad.reduce_sum(ad.mul(alpha, g))
+            backward(tape, loss)
+        data = [t.data for t in inputs]
+        want_alpha, _ = attention_chain(*data, mask)
+        want = _op_by_op_attention_grads(*data, mask, g.data)
+        assert np.all(alpha.data[mask == 0] == 0.0)
+        pairs = [(alpha.data, want_alpha)] + [
+            (t.grad, want[name]) for name, t in zip(["h", "w_query", "keys", "v"], inputs)]
+        for got, ref in pairs:
+            assert got.dtype == ref.dtype == np.dtype(precision.replace("fp", "float"))
+            assert got.tobytes() == ref.tobytes()
+
+    def test_records_one_node(self):
+        inputs = _attention_inputs(np.random.default_rng(0))
+        with Tape() as tape:
+            ad.attention(*inputs, np.ones((2, 3)))
+        assert len(tape.nodes) == 1
+
+    @pytest.mark.parametrize("which, shape", [(0, (3, 4)), (1, (4, 6)), (2, (2, 3)),
+                                              (3, (5, 1)), (4, (2, 4))])
+    def test_shape_mismatch_errors(self, which, shape):
+        args = _attention_inputs(np.random.default_rng(1)) + [np.ones((2, 3))]
+        args[which] = np.ones(shape) if which == 4 else Tensor(np.ones(shape))
+        with pytest.raises(ValueError, match="attention"):
+            ad.attention(*args)
+
 
 class TestStableSoftmax:
-    def test_symmetry(self):
-        out = ad.stable_softmax(Tensor([0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [0.5, 0.5])
+    """The max-shifted softmax over positions that ends `ad.attention`."""
 
-    def test_no_overflow_on_large_logits(self):
-        out = ad.stable_softmax(Tensor([1000.0, 0.0]))
+    @staticmethod
+    def _saturated(v, key_signs):
+        # keys of +-50 put tanh at +-1 exactly and a zero query adds nothing,
+        # so the scores are key_signs @ v
+        B, S, A = key_signs.shape
+        return ad.attention(Tensor(np.zeros((B, 1))), Tensor(np.zeros((1, A))),
+                            Tensor(50.0 * key_signs), Tensor(v), np.ones((B, S)))
+
+    def test_symmetry(self):
+        rng = np.random.default_rng(0)
+        h, w_query, _, v = _attention_inputs(rng, B=1, S=2)
+        keys = Tensor(np.repeat(rng.standard_normal((1, 1, 5)), 2, axis=1))
+        out = ad.attention(h, w_query, keys, v, np.ones((1, 2)))
+        np.testing.assert_allclose(out.data, [[0.5, 0.5]])
+
+    def test_no_overflow_on_large_logits(self, fp64):
+        out = self._saturated(np.array([1000.0]), np.array([[[1.0], [-1.0]]]))
         assert np.all(np.isfinite(out.data))
-        assert out.data[0] == pytest.approx(1.0)
-        assert out.data[1] == pytest.approx(0.0, abs=1e-300)
+        assert out.data[0, 0] == pytest.approx(1.0)
+        assert out.data[0, 1] == pytest.approx(0.0, abs=1e-300)
 
     def test_shift_invariance(self, fp64):
-        x = np.array([0.3, -1.2, 2.0, 0.0])
-        a = ad.stable_softmax(Tensor(x)).data
-        b = ad.stable_softmax(Tensor(x + 123.456)).data
+        # the second key column is saturated at +1 in every position, so its
+        # entry of v adds one constant to every score
+        signs = np.array([[[1.0, 1.0], [-1.0, 1.0], [0.0, 1.0]]])
+        a = self._saturated(np.array([1.3, 0.0]), signs).data
+        b = self._saturated(np.array([1.3, 123.456]), signs).data
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_rejects_non_finite(self):
+        h, w_query, keys, v = _attention_inputs(np.random.default_rng(1))
+        mask = np.ones((2, 3))
+        h.data[0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            ad.stable_softmax(Tensor([np.nan, 0.0]))
+            ad.attention(h, w_query, keys, v, mask)
+        h.data[0, 0], v.data[0] = 0.0, np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            ad.stable_softmax(Tensor([np.inf, 0.0]))
+            ad.attention(h, w_query, keys, v, mask)
 
     def test_gradient_matches_finite_differences(self, fp64):
         rng = np.random.default_rng(0)
-        onehot = np.zeros(7)
-        onehot[3] = 1.0
-        w = ad.constant(onehot)
-
-        def f(x):
-            return ad.reduce_sum(ad.mul(ad.stable_softmax(x), w))
-
-        point = Tensor(rng.standard_normal(7), requires_grad=True)
-        assert grad_check(f, point, 1e-5) < 1e-6
+        inputs = _attention_inputs(rng)
+        mask = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+        w = ad.constant(rng.standard_normal((2, 3)))
+        for point in inputs:
+            def f(_x):
+                return ad.reduce_sum(ad.mul(ad.attention(*inputs, mask), w))
+            assert grad_check(f, point, 1e-5) < 1e-6
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_outputs_are_distributions(self, seed):
         rng = np.random.default_rng(seed)
+        mask = (rng.random((3, 9)) < 0.7).astype(float)
+        mask[np.arange(3), rng.integers(0, 9, 3)] = 1.0
         with ad.using_dtype("fp64"):
-            x = Tensor(rng.standard_normal((3, 9)) * 10)
-            p = ad.stable_softmax(x).data
-        assert np.all(p >= 0)
+            h, w_query, keys, v = (Tensor(t.data * 10)
+                                   for t in _attention_inputs(rng, B=3, S=9))
+            p = ad.attention(h, w_query, keys, v, mask).data
+        assert np.all(p >= 0) and np.all(p[mask == 0] == 0.0)
         np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-9)
 
 
@@ -325,9 +409,11 @@ class TestBackward:
             rng = np.random.default_rng(11)
             x = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
             w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+            keys = ad.constant(rng.standard_normal((4, 3, 4)))
+            v = ad.constant(rng.standard_normal(4))
             with Tape() as tape:
                 h = ad.tanh(ad.matmul(x, w))
-                p = ad.stable_softmax(h)
+                p = ad.attention(h, w, keys, v, np.ones((4, 3)))
                 loss = ad.reduce_sum(ad.mul(p, p))
             backward(tape, loss)
             return x.grad.copy(), w.grad.copy()
@@ -348,9 +434,9 @@ class TestGradCheckOracle:
         target = np.array([4])
 
         def f(x):
-            return ad.reduce_sum(ad.cross_entropy(ad.reshape(x, (1, 10)), target))
+            return ad.reduce_sum(ad.cross_entropy(x, target))
 
-        point = Tensor(rng.standard_normal(10), requires_grad=True)
+        point = Tensor(rng.standard_normal((1, 10)), requires_grad=True)
         assert grad_check(f, point, 1e-5) < 1e-6
 
     def test_hard_argmax_reports_large_error(self, fp64):
@@ -386,6 +472,18 @@ def _cell_over_h(rng):
     return f, h
 
 
+def _attention_over_keys(rng):
+    """The attention weights as a function of the keys, one position masked."""
+    h, w_query, keys, v = _attention_inputs(rng)
+    mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    w = ad.constant(rng.standard_normal((2, 3)))
+
+    def f(point):
+        return ad.reduce_sum(ad.mul(ad.attention(h, w_query, point, v, mask), w))
+
+    return f, keys
+
+
 PRIMS = {
     "tanh": lambda rng: (lambda x: ad.reduce_sum(ad.tanh(x)),
                          Tensor(rng.standard_normal(5), requires_grad=True)),
@@ -393,10 +491,7 @@ PRIMS = {
         (lambda m: (lambda x: ad.reduce_sum(ad.matmul(x, m))))(
             ad.constant(rng.standard_normal((4, 3)))),
         Tensor(rng.standard_normal((2, 4)), requires_grad=True)),
-    "softmax": lambda rng: (
-        (lambda w: (lambda x: ad.reduce_sum(ad.mul(ad.stable_softmax(x), w))))(
-            ad.constant(rng.standard_normal(6))),
-        Tensor(rng.standard_normal(6), requires_grad=True)),
+    "attention": _attention_over_keys,
     "cross_entropy": lambda rng: (
         lambda x: ad.reduce_sum(ad.cross_entropy(x, np.array([1, 0]))),
         Tensor(rng.standard_normal((2, 4)), requires_grad=True)),

@@ -17,6 +17,8 @@ from roundtrip.model import (ModelConfig, ModelParams, attend, decode_step, enco
                              teacher_forced_nll)
 from roundtrip.training import Adam, translation_loss
 
+from conftest import attention_chain, softmax
+
 
 def tiny_params(vocab_size=9, d=6, seed=0, dropout=0.0, layer_norm=True):
     cfg = ModelConfig(vocab_size=vocab_size, d_emb=d, d_hidden=d, d_attention=d,
@@ -84,6 +86,27 @@ class TestEncode:
 
 
 class TestDecodeStep:
+    @pytest.mark.parametrize("precision", ["fp32", "fp64"])
+    def test_attend_is_two_nodes_equal_to_the_op_chain(self, precision):
+        # the weights and the context equal, byte for byte, the read built op
+        # by op and a one-row batched matmul over the annotations
+        with ad.using_dtype(precision):
+            params = tiny_params()
+            src_ids, src_mask, _, _ = toy_batch()
+            memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
+            state = init_decoder_state(params.dec, memory)
+            with Tape() as tape:
+                context, alpha = attend(params.dec, state.h, memory)
+        att, ann = params.dec.att, memory.annotations.data
+        want_alpha, _ = attention_chain(state.h.data, att.w_query.data,
+                                        memory.ann_keys.data, att.v.data, src_mask)
+        B, S, D = ann.shape
+        want_context = (want_alpha.reshape(B, 1, S) @ ann).reshape(B, D)
+        assert len(tape.nodes) == 2
+        for got, want in ((alpha.data, want_alpha), (context.data, want_context)):
+            assert got.dtype == want.dtype == ann.dtype
+            assert got.tobytes() == want.tobytes()
+
     def test_logits_shape_is_vocab(self, fp64):
         params = tiny_params(vocab_size=9)
         src_ids, src_mask, _, _ = toy_batch()
@@ -125,7 +148,7 @@ class TestDecodeStep:
         memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
         state = init_decoder_state(params.dec, memory)
         logits, _ = decode_step(params.dec, state, memory, prev_ids=np.array([1, 1]))
-        p = ad.stable_softmax(logits).data
+        p = softmax(logits.data)
         np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_full_gradient_matches_finite_differences(self, fp64):
