@@ -115,6 +115,13 @@ def backward(tape: Tape, loss: Tensor) -> None:
     cleared once its node has run, so only the leaves keep theirs. Every
     requires_grad leaf on the tape ends up with a .grad: the accumulated
     gradient if reachable from the loss, zeros otherwise.
+
+    A tensor's first gradient is kept as the backward function returned it
+    and is never written: `add` hands one array to both inputs, `concat`
+    hands out views of one array. A second gradient makes one sum the pass
+    owns, `grad + g`, and later ones are added into it in place, so the
+    adds are the same IEEE operations in the same order as fresh sums.
+    Backward functions return gradients of their input's shape and dtype.
     """
     if not tape.nodes:
         raise TapeError("backward on an empty tape")
@@ -123,6 +130,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
     loss.grad = np.ones_like(loss.data)
     produced = {id(out) for out, _, _ in tape.nodes}
+    owned: set[int] = set()  # ids of the tensors whose .grad this pass made
 
     for out, inputs, backward_fn in reversed(tape.nodes):
         g_out = out.grad
@@ -130,8 +138,15 @@ def backward(tape: Tape, loss: Tensor) -> None:
             continue
         out.grad = None
         for t, g in zip(inputs, backward_fn(g_out)):
-            if g is not None and t.requires_grad:
-                t.grad = g if t.grad is None else t.grad + g
+            if g is None or not t.requires_grad:
+                continue
+            if t.grad is None:
+                t.grad = g
+            elif id(t) in owned:
+                t.grad += g
+            else:
+                t.grad = t.grad + g
+                owned.add(id(t))
 
     for _, inputs, _ in tape.nodes:
         for t in inputs:
@@ -382,15 +397,17 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     if t.min(initial=0) < 0 or t.max(initial=0) >= x.shape[1]:
         raise ValueError("target id out of vocabulary range")
     m = x.max(axis=1, keepdims=True)
-    e = np.exp(x - m)
+    e = x - m
+    np.exp(e, out=e)
     z = e.sum(axis=1)
     lse = m[:, 0] + np.log(z)
     rows = np.arange(x.shape[0])
     out = Tensor(lse - x[rows, t])
-    p = e / z[:, None]
 
     def bwd(g):
-        gx = p * g[:, None]
+        # the softmax, then its product with g, in one (N, V) array
+        gx = e / z[:, None]
+        gx *= g[:, None]
         gx[rows, t] -= g
         return (gx,)
 
@@ -495,11 +512,15 @@ def global_norm(grads: Sequence[np.ndarray]) -> float:
 
 
 def clip_gradients(params: Sequence[Tensor], max_norm: float) -> float:
-    """Scale all gradients so their global norm is at most max_norm."""
+    """Scale all gradients so their global norm is at most max_norm.
+
+    The norm counts each parameter's gradient; an array that several
+    parameters share (a first gradient `backward` kept) is scaled once.
+    """
     grads = [p.grad for p in params if p.grad is not None]
     norm = global_norm(grads)
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
-        for g in grads:
+        for g in {id(g): g for g in grads}.values():
             g *= scale
     return norm

@@ -194,15 +194,34 @@ def make_batch(vocab: Vocab, pairs: Sequence[ParallelPair]) -> Batch:
     return Batch(src_ids, src_mask, tgt_ids, tgt_mask)
 
 
+class LazyBatches:
+    """The batches of fixed-size chunks of `pairs` (the last may be short),
+    batch i built when first asked for and kept."""
+
+    def __init__(self, pairs: list[ParallelPair], vocab: Vocab, batch_size: int):
+        self._pairs, self._vocab, self._batch_size = pairs, vocab, batch_size
+        self._built: list[Batch | None] = [None] * -(-len(pairs) // batch_size)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, i: int) -> Batch:
+        i = range(len(self._built))[i]  # IndexError past the end ends iteration
+        if self._built[i] is None:
+            start = i * self._batch_size
+            self._built[i] = make_batch(
+                self._vocab, self._pairs[start: start + self._batch_size])
+        return self._built[i]
+
+
 def make_batches(corpus: Sequence[ParallelPair], vocab: Vocab, batch_size: int,
-                 seed: int) -> list[Batch]:
-    """Seed-deterministic shuffle, then fixed-size chunks (last may be short)."""
+                 seed: int) -> LazyBatches:
+    """Seed-deterministic shuffle, then fixed-size chunks (last may be short),
+    each batched when first asked for."""
     if not corpus:
         raise ValueError("cannot batch an empty corpus")
     order = np.random.default_rng([seed, 0x0BA7C4]).permutation(len(corpus))
-    shuffled = [corpus[i] for i in order]
-    return [make_batch(vocab, shuffled[i: i + batch_size])
-            for i in range(0, len(shuffled), batch_size)]
+    return LazyBatches([corpus[i] for i in order], vocab, batch_size)
 
 
 def load_parallel(src_path: str, tgt_path: str, src_lang: str,

@@ -91,12 +91,13 @@ def stgs_embed(logits: Tensor, noise: np.ndarray, tau: float, E: Tensor,
     """
     if tau <= 0:
         raise ValueError("tau must be > 0")
-    y = _perturbed(logits.data, noise)
-    ids = y.argmax(axis=-1)
-    z = y / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    soft = e / e.sum(axis=-1, keepdims=True)
+    # the perturbed logits become the tempered softmax in place
+    soft = _perturbed(logits.data, noise)
+    ids = soft.argmax(axis=-1)
+    soft /= tau
+    soft -= soft.max(axis=-1, keepdims=True)
+    np.exp(soft, out=soft)
+    soft /= soft.sum(axis=-1, keepdims=True)
     E_data = E.data
 
     out = Tensor(soft @ E_data if soft_forward else E_data[ids])
@@ -109,7 +110,11 @@ def stgs_embed(logits: Tensor, noise: np.ndarray, tau: float, E: Tensor,
         else:
             gE = np.zeros_like(E_data)
             np.add.at(gE, ids, g)
-        return soft * (g_dist - inner) / tau, gE
+        # soft * (g_dist - inner) / tau, formed in g_dist
+        g_dist -= inner
+        g_dist *= soft
+        g_dist /= tau
+        return g_dist, gE
 
     return ad.record(out, (logits, E), bwd), ids
 

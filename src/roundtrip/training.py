@@ -21,7 +21,8 @@ from . import checkpoint as ckpt_io
 from . import evaluation
 from .autodiff import Tape, Tensor
 from .config import RunConfig
-from .data import Batch, ParallelPair, Vocab, build_bidirectional_corpus, make_batches
+from .data import (Batch, LazyBatches, ParallelPair, Vocab, build_bidirectional_corpus,
+                   make_batches)
 from .model import (DecoderParams, EncoderOutput, ModelParams, _xavier, encode,
                     prepare_memory, sequence_nll)
 from .sampling import GumbelNoiseSource, STGSConfig, sample_translation
@@ -178,7 +179,14 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             step_lr = group_lr if name in self.group else lr
-            p.data -= step_lr * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+            # step_lr * (m / bc1) / (sqrt(v / bc2) + epsilon) in two arrays
+            step = m / bc1
+            step *= step_lr
+            denom = v / bc2
+            np.sqrt(denom, out=denom)
+            denom += self.epsilon
+            step /= denom
+            p.data -= step
 
     def zero_grad(self) -> None:
         for _, p in self.named_params:
@@ -331,7 +339,7 @@ class Trainer:
         self.bleu_path = os.path.join(out_dir, "bleu.csv")
         # (epoch, its batches), so that a run resumed or cut into chunks
         # within an epoch does not batch the corpus again
-        self._epoch_cache: tuple[int, list[Batch]] | None = None
+        self._epoch_cache: tuple[int, LazyBatches] | None = None
 
     def _make_optimizer(self) -> Adam:
         """Adam over the model and, in hidden mode, the reconstructors, which

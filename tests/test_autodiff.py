@@ -423,6 +423,78 @@ class TestBackward:
         assert np.array_equal(g1[1], g2[1])
 
 
+def _backward_recording_returns(tape, loss):
+    """Run backward, recording every array a backward function returned
+    together with a copy of it as it was returned."""
+    returned = []
+
+    def recording(fn):
+        def bwd(g):
+            grads = fn(g)
+            returned.extend((a, a.copy()) for a in grads if a is not None)
+            return grads
+        return bwd
+
+    tape.nodes[:] = [(out, inputs, recording(fn)) for out, inputs, fn in tape.nodes]
+    backward(tape, loss)
+    return returned
+
+
+class TestSharedGradients:
+    """`backward` keeps a first gradient as returned and sums into arrays it
+    owns: an array that a backward function handed out is never written."""
+
+    @staticmethod
+    def _assert_untouched(returned):
+        assert returned
+        for array, as_returned in returned:
+            assert array.tobytes() == as_returned.tobytes()
+
+    def test_add_of_a_tensor_to_itself(self, fp64):
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        w = ad.constant([0.5, 0.25, -1.5])
+        with Tape() as tape:
+            loss = ad.reduce_sum(ad.mul(ad.add(x, x), w))
+        returned = _backward_recording_returns(tape, loss)
+        self._assert_untouched(returned)
+        assert x.grad.tobytes() == (w.data + w.data).tobytes()
+        assert not any(x.grad is a for a, _ in returned)
+
+    def test_add_shared_by_two_leaves_then_later_terms(self, fp64):
+        # add(a, b) hands one array to both leaves as their first gradient;
+        # the uses recorded earlier add to each leaf after it, b's two of
+        # them into its owned sum
+        rng = np.random.default_rng(0)
+        a = Tensor(rng.standard_normal(4), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        w1, w2, w3 = (ad.constant(rng.standard_normal(4)) for _ in range(3))
+        with Tape() as tape:
+            later_b = ad.mul(b, w3)
+            later_a, later_b2 = ad.mul(a, w1), ad.mul(b, w2)
+            total = ad.add(ad.add(later_a, ad.add(later_b2, later_b)), ad.add(a, b))
+            loss = ad.reduce_sum(total)
+        returned = _backward_recording_returns(tape, loss)
+        self._assert_untouched(returned)
+        ones = np.ones(4)
+        assert a.grad.tobytes() == (ones + w1.data).tobytes()
+        assert b.grad.tobytes() == (ones + w2.data + w3.data).tobytes()
+        assert a.grad is not b.grad
+
+    def test_concat_of_three_hands_out_views(self, fp64):
+        rng = np.random.default_rng(1)
+        xs = [Tensor(rng.standard_normal((2, n)), requires_grad=True) for n in (1, 2, 3)]
+        ws = [ad.constant(rng.standard_normal(x.shape)) for x in xs]
+        w = ad.constant(rng.standard_normal((2, 6)))
+        with Tape() as tape:
+            terms = [ad.reduce_sum(ad.mul(x, wx)) for x, wx in zip(xs, ws)]
+            joined = ad.reduce_sum(ad.mul(ad.concat(xs, axis=-1), w))
+            loss = ad.add(ad.add(ad.add(terms[0], terms[1]), terms[2]), joined)
+        returned = _backward_recording_returns(tape, loss)
+        self._assert_untouched(returned)
+        for x, wx, part in zip(xs, ws, np.split(w.data, [1, 3], axis=-1)):
+            assert x.grad.tobytes() == (part + wx.data).tobytes()
+
+
 class TestGradCheckOracle:
     def test_quadratic_is_exact_to_h_squared(self, fp64):
         point = Tensor([1.0, 2.0, 3.0], requires_grad=True)
@@ -560,6 +632,18 @@ class TestClipGradients:
         np.testing.assert_allclose(ratios, 0.5 / before, rtol=1e-12)
         assert params[2].grad is None
 
+    def test_a_gradient_shared_by_two_parameters_is_scaled_once(self, fp64):
+        # add(a, b) hands both leaves one array as their gradient
+        a = Tensor([1.0, 1.0], requires_grad=True)
+        b = Tensor([1.0, 1.0], requires_grad=True)
+        with Tape() as tape:
+            loss = ad.reduce_sum(ad.add(a, b))
+        backward(tape, loss)
+        assert a.grad is b.grad
+        assert ad.clip_gradients([a, b], 1.0) == pytest.approx(2.0, rel=1e-12)
+        assert ad.global_norm([a.grad, b.grad]) == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_array_equal(a.grad, [0.5, 0.5])
+
     def test_norm_below_max_leaves_gradients_unchanged(self, fp64):
         params, grads = self._params(0.01)
         before = float(np.sqrt(sum((g * g).sum() for g in grads)))
@@ -576,6 +660,33 @@ class TestCrossEntropy:
     def test_out_of_range_target_errors(self):
         with pytest.raises(ValueError):
             ad.cross_entropy(Tensor(np.zeros((1, 4))), np.array([4]))
+
+    @pytest.mark.parametrize("precision", ["fp32", "fp64"])
+    def test_value_and_gradient_are_the_softmax_formulas_byte_for_byte(self, precision):
+        dtype = np.float32 if precision == "fp32" else np.float64
+        rng = np.random.default_rng(3)
+        x = (4 * rng.standard_normal((6, 11))).astype(dtype)
+        t = rng.integers(0, 11, size=6)
+        w = rng.standard_normal(6).astype(dtype)
+        with ad.using_dtype(precision):
+            logits = Tensor(x, requires_grad=True)
+            with Tape() as tape:
+                nll = ad.cross_entropy(logits, t)
+                loss = ad.reduce_sum(ad.mul(nll, ad.constant(w)))
+            backward(tape, loss)
+
+        # the log-sum-exp and softmax written out, the upstream gradient w
+        m = x.max(axis=1, keepdims=True)
+        e = np.exp(x - m)
+        z = e.sum(axis=1)
+        rows = np.arange(6)
+        want = m[:, 0] + np.log(z) - x[rows, t]
+        p = e / z[:, None]
+        want_grad = p * w[:, None]
+        want_grad[rows, t] -= w
+        assert nll.data.dtype == logits.grad.dtype == dtype
+        assert nll.data.tobytes() == want.tobytes()
+        assert logits.grad.tobytes() == want_grad.tobytes()
 
 
 def test_precision_switch_controls_dtype():

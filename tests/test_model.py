@@ -17,7 +17,7 @@ from roundtrip.model import (ModelConfig, ModelParams, attend, decode_step, enco
                              teacher_forced_nll)
 from roundtrip.training import Adam, translation_loss
 
-from conftest import attention_chain, softmax
+from conftest import attention_chain
 
 
 def tiny_params(vocab_size=9, d=6, seed=0, dropout=0.0, layer_norm=True):
@@ -142,14 +142,24 @@ class TestDecodeStep:
         with pytest.raises(ValueError):
             decode_step(params.dec, None, memory, prev_ids=np.array([1, 1]))
 
-    def test_probabilities_normalize(self, fp64):
-        params = tiny_params()
-        src_ids, src_mask, _, _ = toy_batch()
-        memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
-        state = init_decoder_state(params.dec, memory)
-        logits, _ = decode_step(params.dec, state, memory, prev_ids=np.array([1, 1]))
-        p = softmax(logits.data)
-        np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-9)
+    @pytest.mark.parametrize("precision", ["fp32", "fp64"])
+    def test_nll_of_the_logits_is_the_fp64_log_sum_exp(self, precision):
+        # the decoder's output path: cross_entropy of decode_step's logits
+        # against logsumexp(l) - l[t] in fp64 numpy
+        with ad.using_dtype(precision):
+            params = tiny_params()
+            src_ids, src_mask, tgt_ids, _ = toy_batch()
+            memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
+            state = init_decoder_state(params.dec, memory)
+            logits, _ = decode_step(params.dec, state, memory, prev_ids=np.array([1, 1]))
+            nll = ad.cross_entropy(logits, tgt_ids[:, 0])
+        x = logits.data.astype(np.float64)
+        m = x.max(axis=-1)
+        want = m + np.log(np.exp(x - m[:, None]).sum(axis=-1)) - x[[0, 1], tgt_ids[:, 0]]
+        dtype = np.float32 if precision == "fp32" else np.float64
+        assert nll.data.dtype == logits.data.dtype == dtype
+        rtol = 1e-6 if precision == "fp32" else 1e-14
+        np.testing.assert_allclose(nll.data, want, rtol=rtol, atol=0)
 
     def test_full_gradient_matches_finite_differences(self, fp64):
         from roundtrip.verification import decode_step_check

@@ -271,6 +271,52 @@ class TestStgsCombine:
         np.testing.assert_allclose(grad_E, soft.T @ g, rtol=rtol, atol=rtol)
 
 
+    @pytest.mark.parametrize("soft_forward", [False, True])
+    @pytest.mark.parametrize("precision", ["fp32", "fp64"])
+    def test_values_and_gradients_are_the_formulas_byte_for_byte(self, precision,
+                                                                 soft_forward):
+        dtype = DTYPES[precision]
+        logits, noise, E, g = _embed_inputs(dtype, B=8, V=6, d=4, seed=7)
+        logits *= 3
+        tau = 0.7
+        with ad.using_dtype(precision):
+            emb, ids, grad_logits, grad_E = _embed_grads(logits, noise, E, g,
+                                                         soft_forward=soft_forward, tau=tau)
+
+        # the tempered softmax of the perturbed logits and its straight-through
+        # gradients, written out; the upstream gradient is g
+        y = logits + noise
+        z = y / tau
+        z = z - z.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        soft = e / e.sum(axis=-1, keepdims=True)
+        g_dist = g @ E.T
+        inner = (g_dist * soft).sum(axis=-1, keepdims=True)
+        want_logits = soft * (g_dist - inner) / tau
+        if soft_forward:
+            want_emb, want_E = soft @ E, soft.T @ g
+        else:
+            want_emb, want_E = E[y.argmax(axis=-1)], np.zeros_like(E)
+            np.add.at(want_E, y.argmax(axis=-1), g)
+        np.testing.assert_array_equal(ids, y.argmax(axis=-1))
+        for got, want in ((emb, want_emb), (grad_logits, want_logits), (grad_E, want_E)):
+            assert got.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("beta", [0.0, 1.5])
+    def test_ids_are_the_gumbel_max_rule(self, fp64, beta):
+        rng = np.random.default_rng(9)
+        # rows of tied logits: at beta 0 each row's lowest tied id wins
+        logits = np.round(rng.standard_normal((40, 7)))
+        logits[:4] = 1.0
+        noise = sample_gumbel(logits.shape, beta, rng)
+        _, ids = stgs_embed(Tensor(logits), noise, 2.0, Tensor(np.eye(7)))
+        np.testing.assert_array_equal(ids, gumbel_max_step(logits, noise))
+        if beta == 0.0:
+            np.testing.assert_array_equal(ids[:4], 0)
+            assert any(len(set(row)) < 7 for row in logits[4:].tolist())
+
+
 def toy_source(params, n=2):
     # [tag, w.., eos] rows with different lengths
     src_ids = np.array([[4, 6, 7, 8, 2], [5, 8, 6, 2, 0]])[:n]

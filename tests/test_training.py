@@ -57,6 +57,28 @@ class TestAdam:
             assert p1.data[0] == pytest.approx(x1, rel=1e-12)
             assert p2.data[0] == pytest.approx(x2, rel=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_step_is_the_update_rule_byte_for_byte(self, dtype):
+        rng = np.random.default_rng(5)
+        p0, g, m0, v0 = (rng.standard_normal((4, 3)).astype(dtype) for _ in range(4))
+        v0 *= v0
+        p = Tensor(p0.copy(), requires_grad=True, dtype=dtype)
+        opt = Adam([("p", p)], group=["p"])
+        opt.m["p"], opt.v["p"], opt.step_count = m0.copy(), v0.copy(), 2
+        p.grad = g
+        opt.step(0.5, 0.003)
+
+        b1, b2, eps, t = 0.9, 0.999, 1e-8, 3
+        m = m0 * b1
+        m += (1.0 - b1) * g
+        v = v0 * b2
+        v += (1.0 - b2) * (g * g)
+        want = p0 - 0.003 * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        assert p.data.dtype == dtype
+        assert opt.m["p"].tobytes() == m.tobytes()
+        assert opt.v["p"].tobytes() == v.tobytes()
+        assert p.data.tobytes() == want.tobytes()
+
     def test_skips_parameters_without_gradient(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         opt = Adam([("p", p)])
@@ -144,6 +166,22 @@ class TestObjectives:
                                       phase="finetune")
         combined = ad.add(l_t, l_r)
         assert float(combined.data) == float(l_t.data) + float(l_r.data)
+
+    def test_fp32_sampled_update_keeps_every_gradient_in_fp32(self):
+        with ad.using_dtype("fp32"):
+            cfg = ModelConfig(vocab_size=9, d_emb=6, d_hidden=6, d_attention=6,
+                              dropout=0.1)
+            params = ModelParams(cfg, np.random.default_rng(4))
+            batch, rng = toy_batch(), np.random.default_rng(5)
+            with ad.Tape() as tape:
+                l_t, *_ = translation_loss(params, batch, bos_id=1, train=True, rng=rng)
+                l_r, *_ = reconstruction_loss(params, batch, GumbelNoiseSource(0.5, 3),
+                                              STGSConfig(tau=2.0), bos_id=1, eos_id=2,
+                                              phase="finetune", train=True, rng=rng)
+                ad.backward(tape, ad.add(l_t, l_r))
+        for name, p in params.named_parameters():
+            assert p.data.dtype == np.float32, name
+            assert p.grad.dtype == np.float32, name
 
     def test_reconstruction_blocked_in_pretrain_phase(self, fp64):
         params = tiny_params()
