@@ -210,19 +210,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record(out, (a, b), bwd)
 
 
-def matmul_t(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b.T with b stored untransposed; lets tied weights share storage."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul_t expects 2D operands")
-    out = Tensor(a.data @ b.data.T)
-    a_data, b_data = a.data, b.data
-
-    def bwd(g):
-        return g @ b_data, g.T @ a_data
-
-    return record(out, (a, b), bwd)
-
-
 def weighted_sum(weights: Tensor, values: Tensor) -> Tensor:
     """Per-row weighted sum over positions: (B, S) weights and (B, S, D)
     values give the (B, D) rows sum_s weights[b, s] * values[b, s]."""
@@ -383,35 +370,42 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor
     return h_out, c_out
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Per-row negative log-likelihood of integer targets under softmax(logits).
+def readout_nll(out: Tensor, E: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Sum over rows of mask * NLL of the targets under softmax(out @ E.T),
+    via log-sum-exp: one decoder step's tied readout, scored, as one node.
 
-    Computed via log-sum-exp, so finite logits always give finite loss.
+    The (N, V) logits become in place the exp buffer backward reads. Values
+    and gradients round exactly as those of the op chain out @ E.T,
+    cross-entropy, product with the mask in the run dtype, sum.
     """
-    x = logits.data
-    if x.ndim != 2:
-        raise ValueError("cross_entropy expects (N, V) logits")
+    if out.ndim != 2 or E.ndim != 2 or out.shape[1] != E.shape[1]:
+        raise ValueError(f"readout_nll expects (N, d) out and (V, d) E, "
+                         f"got {out.shape} and {E.shape}")
     t = np.asarray(targets)
-    if t.shape != (x.shape[0],):
-        raise ValueError("targets must be a vector matching the logit rows")
-    if t.min(initial=0) < 0 or t.max(initial=0) >= x.shape[1]:
+    if t.shape != (out.shape[0],) or np.shape(mask) != t.shape:
+        raise ValueError("targets and mask must be vectors matching the rows of out")
+    if t.min(initial=0) < 0 or t.max(initial=0) >= E.shape[0]:
         raise ValueError("target id out of vocabulary range")
-    m = x.max(axis=1, keepdims=True)
-    e = x - m
+    out_data, E_data = out.data, E.data
+    e = np.asarray(out_data @ E_data.T, dtype=_default_dtype)
+    rows = np.arange(e.shape[0])
+    target = e[rows, t]
+    m = e.max(axis=1, keepdims=True)
+    e -= m
     np.exp(e, out=e)
     z = e.sum(axis=1)
-    lse = m[:, 0] + np.log(z)
-    rows = np.arange(x.shape[0])
-    out = Tensor(lse - x[rows, t])
+    mask = np.asarray(mask, dtype=_default_dtype)
+    loss = Tensor(((m[:, 0] + np.log(z) - target) * mask).sum())
 
     def bwd(g):
-        # the softmax, then its product with g, in one (N, V) array
+        # the softmax, then its product with the rows' gradient, in one array
+        g_rows = g * mask
         gx = e / z[:, None]
-        gx *= g[:, None]
-        gx[rows, t] -= g
-        return (gx,)
+        gx *= g_rows[:, None]
+        gx[rows, t] -= g_rows
+        return gx @ E_data, gx.T @ out_data
 
-    return record(out, (logits,), bwd)
+    return record(loss, (out, E), bwd)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

@@ -79,12 +79,13 @@ def _search(params: ModelParams, src_ids: np.ndarray, src_mask: np.ndarray,
     # live ones when it stopped
     pools: list[list] = [[] for _ in range(B)]
     for t in range(int(caps.max())):
-        logits, state = decode_step(params.dec, state, memory, prev_ids=prev)
+        out, state = decode_step(params.dec, state, memory, prev_ids=prev)
+        logits = np.asarray(out.data @ params.dec.E.data.T, dtype=ad.default_dtype())
         if width == 1:
             # each row is its sentence's one hypothesis, and its argmax survives
-            parent, tok, offers = np.arange(len(sent)), logits.data.argmax(axis=-1), scores
+            parent, tok, offers = np.arange(len(sent)), logits.argmax(axis=-1), scores
         else:
-            z = logits.data - logits.data.max(axis=-1, keepdims=True)
+            z = logits - logits.max(axis=-1, keepdims=True)
             # each row's log-sum-exp in float64, then rounded to the run precision
             lse = [math.log(s) for s in np.exp(z).sum(axis=-1)]
             logp = z - np.array(lse, dtype=z.dtype)[:, None]

@@ -214,7 +214,8 @@ def decode_step(dec: DecoderParams, state: DecoderState, memory: Memory,
                 prev_ids: np.ndarray | None = None, prev_emb: Tensor | None = None,
                 train: bool = False,
                 rng: np.random.Generator | None = None) -> tuple[Tensor, DecoderState]:
-    """One decoder step: returns next-token logits and the new state.
+    """One decoder step: returns the (B, d_emb) output of its tanh layer, whose
+    logits out @ E.T each consumer forms itself, and the new state.
 
     prev_ids feeds a token by id; prev_emb feeds a (B, d_emb) embedding as is.
     """
@@ -230,8 +231,7 @@ def decode_step(dec: DecoderParams, state: DecoderState, memory: Memory,
     h_new, c_new = dec.cell.step(x, state.h, state.cell)
     combined = ad.concat([ad.dropout(h_new, p_drop, rng), context], axis=-1)
     out = ad.tanh(ad.add(ad.matmul(combined, dec.w_out), dec.b_out))
-    logits = ad.matmul_t(out, dec.E)
-    return logits, DecoderState(h_new, c_new)
+    return out, DecoderState(h_new, c_new)
 
 
 def length_caps(src_mask: np.ndarray, factor: int, offset: int) -> np.ndarray:
@@ -258,10 +258,9 @@ def sequence_nll(dec: DecoderParams, memory: Memory, tgt_ids: np.ndarray,
     loss_sum: Tensor | None = None
     states: list[Tensor] = []
     for t in range(T):
-        logits, state = decode_step(dec, state, memory, prev_ids=prev,
-                                    train=train, rng=rng)
-        nll = ad.cross_entropy(logits, tgt_ids[:, t])
-        step_loss = ad.reduce_sum(ad.mul(nll, ad.constant(tgt_mask[:, t])))
+        out, state = decode_step(dec, state, memory, prev_ids=prev,
+                                 train=train, rng=rng)
+        step_loss = ad.readout_nll(out, dec.E, tgt_ids[:, t], tgt_mask[:, t])
         loss_sum = step_loss if loss_sum is None else ad.add(loss_sum, step_loss)
         states.append(state.h)
         prev = tgt_ids[:, t]

@@ -78,29 +78,31 @@ def gumbel_max_step(logits: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return _perturbed(logits, noise).argmax(axis=-1)
 
 
-def stgs_embed(logits: Tensor, noise: np.ndarray, tau: float, E: Tensor,
+def stgs_embed(out: Tensor, E: Tensor, noise: np.ndarray, tau: float,
                soft_forward: bool = False) -> tuple[Tensor, np.ndarray]:
-    """Straight-through embedding of one sampled token per row.
+    """Straight-through embedding of one token per row, sampled from the
+    tied readout's logits out @ E.T.
 
     Returns (embedding, ids). The forward value is the sampled token's row of
-    E; the gradient is exactly that of softmax((logits+noise)/tau) @ E w.r.t.
-    logits, while E's gradient is the row scatter an embedding lookup gives.
-    With soft_forward=True the forward value is that soft embedding itself,
-    and E's gradient its own, which makes the whole sampling path
-    finite-difference checkable.
+    E; the logits' gradient is exactly that of softmax((logits+noise)/tau) @ E,
+    while E's embedding term is the row scatter a lookup gives. With
+    soft_forward=True the forward value is that soft embedding itself, and
+    E's embedding term its own, which makes the whole sampling path
+    finite-difference checkable. E is listed twice among the inputs, so its
+    embedding term reaches E.grad before its readout term.
     """
     if tau <= 0:
         raise ValueError("tau must be > 0")
+    out_data, E_data = out.data, E.data
     # the perturbed logits become the tempered softmax in place
-    soft = _perturbed(logits.data, noise)
+    soft = _perturbed(np.asarray(out_data @ E_data.T, dtype=ad.default_dtype()), noise)
     ids = soft.argmax(axis=-1)
     soft /= tau
     soft -= soft.max(axis=-1, keepdims=True)
     np.exp(soft, out=soft)
     soft /= soft.sum(axis=-1, keepdims=True)
-    E_data = E.data
 
-    out = Tensor(soft @ E_data if soft_forward else E_data[ids])
+    emb = Tensor(soft @ E_data if soft_forward else E_data[ids])
 
     def bwd(g):
         g_dist = g @ E_data.T
@@ -110,13 +112,13 @@ def stgs_embed(logits: Tensor, noise: np.ndarray, tau: float, E: Tensor,
         else:
             gE = np.zeros_like(E_data)
             np.add.at(gE, ids, g)
-        # soft * (g_dist - inner) / tau, formed in g_dist
+        # the logits' gradient soft * (g_dist - inner) / tau, formed in g_dist
         g_dist -= inner
         g_dist *= soft
         g_dist /= tau
-        return g_dist, gE
+        return g_dist @ E_data, gE, g_dist.T @ out_data
 
-    return ad.record(out, (logits, E), bwd), ids
+    return ad.record(emb, (out, E, E), bwd), ids
 
 
 @dataclass
@@ -160,10 +162,10 @@ def sample_translation(params: ModelParams, src_ids: np.ndarray, src_mask: np.nd
     prev_ids: np.ndarray | None = np.full(B, bos_id, dtype=np.int64)
     prev_emb: Tensor | None = None
     for t in range(int(caps.max())):
-        logits, state = decode_step(params.dec, state, memory, prev_ids=prev_ids,
-                                    prev_emb=prev_emb, train=train, rng=rng)
-        emb, hard_ids = stgs_embed(logits, noise.draw(logits.shape), cfg.tau,
-                                   params.dec.E, soft_forward=soft_forward)
+        out, state = decode_step(params.dec, state, memory, prev_ids=prev_ids,
+                                 prev_emb=prev_emb, train=train, rng=rng)
+        emb, hard_ids = stgs_embed(out, params.dec.E, noise.draw((B, params.config.vocab_size)),
+                                   cfg.tau, soft_forward=soft_forward)
         steps.append(emb)
         ids.append(hard_ids)
         active = ~done

@@ -174,15 +174,18 @@ class Adam:
                 continue
             m = self.m[name]
             v = self.v[name]
+            # the moments, then step_lr * (m/bc1) / (sqrt(v/bc2) + eps), in two arrays
+            step = np.multiply(g, 1.0 - self.beta1)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += step
+            denom = g * g
+            denom *= 1.0 - self.beta2
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            v += denom
             step_lr = group_lr if name in self.group else lr
-            # step_lr * (m / bc1) / (sqrt(v / bc2) + epsilon) in two arrays
-            step = m / bc1
+            np.divide(m, bc1, out=step)
             step *= step_lr
-            denom = v / bc2
+            np.divide(v, bc2, out=denom)
             np.sqrt(denom, out=denom)
             denom += self.epsilon
             step /= denom

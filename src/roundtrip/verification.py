@@ -60,10 +60,6 @@ def primitive_checks(seed: int = 0) -> list[ComponentReport]:
     check("matmul",
           lambda x: ad.reduce_sum(ad.mul(ad.matmul(x, m64), w54)),
           Tensor(rng.standard_normal((5, 6)), requires_grad=True))
-    m46 = ad.constant(rng.standard_normal((4, 6)))
-    check("matmul_t",
-          lambda x: ad.reduce_sum(ad.matmul_t(x, m46)),
-          Tensor(rng.standard_normal((5, 6)), requires_grad=True))
     w_ws = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     v_ws = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
     w23 = ad.constant(rng.standard_normal((2, 3)))
@@ -107,10 +103,12 @@ def primitive_checks(seed: int = 0) -> list[ComponentReport]:
     check("embedding",
           lambda E: ad.reduce_sum(ad.mul(ad.embedding(E, ids), w43)),
           Tensor(rng.standard_normal((4, 3)), requires_grad=True))
-    targets = np.array([1, 3, 0])
-    check("cross_entropy",
-          lambda x: ad.reduce_sum(ad.cross_entropy(x, targets)),
-          Tensor(rng.standard_normal((3, 5)), requires_grad=True))
+    out = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    E = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    targets, row_mask = np.array([1, 3, 0]), np.array([1.0, 0.0, 1.0])
+    for name, point in (("out", out), ("E", E)):
+        check(f"readout_nll.{name}",
+              lambda _t: ad.readout_nll(out, E, targets, row_mask), point)
 
     def dropped(x):
         r = np.random.default_rng(7)  # identical mask on every evaluation
@@ -156,18 +154,16 @@ def tiny_model(seed: int = 0, vocab: int = 9, d: int = 4) -> ModelParams:
 
 def decode_step_check(seed: int = 0) -> ComponentReport:
     params = tiny_model(seed, vocab=7, d=4)
-    rng = np.random.default_rng([seed, 5])
     src_ids = np.array([[4, 5, 6, 2]])
     src_mask = np.ones((1, 4))
-    fixed = ad.constant(rng.standard_normal((1, 7)))
-    prev = np.array([1])
+    target, prev = np.array([3]), np.array([1])
 
     def build_loss() -> Tensor:
         enc = encode(params, src_ids, src_mask)
         memory = prepare_memory(params.dec, enc)
         state = init_decoder_state(params.dec, memory)
-        logits, _ = decode_step(params.dec, state, memory, prev_ids=prev)
-        return ad.reduce_sum(ad.mul(logits, fixed))
+        out, _ = decode_step(params.dec, state, memory, prev_ids=prev)
+        return ad.readout_nll(out, params.dec.E, target, np.ones(1))
 
     err = check_over_params(build_loss, params.named_parameters())
     return ComponentReport("decode_step", err)
@@ -192,19 +188,19 @@ def encode_one_token_check(seed: int = 0) -> ComponentReport:
 
 
 def stgs_soft_checks(seed: int = 0) -> list[ComponentReport]:
-    """The sampler's soft embedding, over the logits and over E."""
+    """The sampler's soft embedding, over the decoder output and over E."""
     rng = np.random.default_rng([seed, 9])
     noise = sample_gumbel((3, 6), 1.0, np.random.default_rng([seed, 10]))
-    logits = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
+    out = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     E = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
     fixed = ad.constant(rng.standard_normal((3, 4)))
 
     def loss() -> Tensor:
-        emb, _ = stgs_embed(logits, noise, tau=2.0, E=E, soft_forward=True)
+        emb, _ = stgs_embed(out, E, noise, tau=2.0, soft_forward=True)
         return ad.reduce_sum(ad.mul(emb, fixed))
 
     return [ComponentReport(f"stgs_soft_path.{name}", grad_check(lambda _t: loss(), t))
-            for name, t in (("logits", logits), ("E", E))]
+            for name, t in (("out", out), ("E", E))]
 
 
 def end_to_end_check(seed: int = 0) -> ComponentReport:

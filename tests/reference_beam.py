@@ -1,5 +1,6 @@
 """The per-sentence beam search that `roundtrip.evaluation` used before its
-batched search loop, kept unchanged as an independent reference.
+batched search loop, kept as an independent reference; it forms each
+step's tied readout, out @ E.T, in numpy.
 
 Each live hypothesis is decoded as a batch of one and ranks its own next
 tokens; `tests/test_evaluation.py` requires the batched `greedy_decode` and
@@ -50,8 +51,8 @@ def beam_decode(params: ModelParams, src_ids: np.ndarray, src_mask: np.ndarray,
         candidates: list[tuple[float, int, _Hypothesis, object]] = []
         for hyp in live:
             prev = np.array([hyp.ids[-1] if hyp.ids else bos_id], dtype=np.int64)
-            logits, new_state = decode_step(params.dec, hyp.state, memory, prev_ids=prev)
-            row = logits.data[0]
+            out, new_state = decode_step(params.dec, hyp.state, memory, prev_ids=prev)
+            row = (out.data @ params.dec.E.data.T)[0]
             row = row - row.max()
             logp = row - math.log(np.exp(row).sum())
             top = np.argsort(-logp, kind="stable")[: width]

@@ -502,11 +502,13 @@ class TestGradCheckOracle:
         assert err < 1e-8
 
     def test_softmax_cross_entropy(self, fp64):
+        # an identity E makes the readout's logits the point itself
         rng = np.random.default_rng(3)
         target = np.array([4])
+        eye = ad.constant(np.eye(10))
 
         def f(x):
-            return ad.reduce_sum(ad.cross_entropy(x, target))
+            return ad.readout_nll(x, eye, target, np.ones(1))
 
         point = Tensor(rng.standard_normal((1, 10)), requires_grad=True)
         assert grad_check(f, point, 1e-5) < 1e-6
@@ -565,8 +567,13 @@ PRIMS = {
         Tensor(rng.standard_normal((2, 4)), requires_grad=True)),
     "attention": _attention_over_keys,
     "cross_entropy": lambda rng: (
-        lambda x: ad.reduce_sum(ad.cross_entropy(x, np.array([1, 0]))),
+        lambda x: ad.readout_nll(x, ad.constant(np.eye(4)), np.array([1, 0]), np.ones(2)),
         Tensor(rng.standard_normal((2, 4)), requires_grad=True)),
+    "readout_nll": lambda rng: (
+        (lambda out: (lambda E: ad.readout_nll(out, E, np.array([4, 0, 4]),
+                                               np.array([1.0, 1.0, 0.0]))))(
+            ad.constant(rng.standard_normal((3, 2)))),
+        Tensor(rng.standard_normal((5, 2)), requires_grad=True)),
     "embedding": lambda rng: (
         (lambda w: (lambda E: ad.reduce_sum(
             ad.mul(ad.embedding(E, np.array([0, 2, 0])), w))))(
@@ -653,13 +660,18 @@ class TestClipGradients:
 
 
 class TestCrossEntropy:
+    """The scoring half of `readout_nll`: with an identity E the readout's
+    logits are `out` itself, exactly."""
+
     def test_uniform_logits_give_log_v(self, fp64):
-        out = ad.cross_entropy(Tensor(np.zeros((3, 8))), np.array([0, 5, 7]))
-        np.testing.assert_allclose(out.data, np.log(8.0), rtol=1e-12)
+        out = ad.readout_nll(Tensor(np.zeros((3, 8))), Tensor(np.eye(8)),
+                             np.array([0, 5, 7]), np.ones(3))
+        np.testing.assert_allclose(out.data, 3 * np.log(8.0), rtol=1e-12)
 
     def test_out_of_range_target_errors(self):
         with pytest.raises(ValueError):
-            ad.cross_entropy(Tensor(np.zeros((1, 4))), np.array([4]))
+            ad.readout_nll(Tensor(np.zeros((1, 4))), Tensor(np.eye(4)), np.array([4]),
+                           np.ones(1))
 
     @pytest.mark.parametrize("precision", ["fp32", "fp64"])
     def test_value_and_gradient_are_the_softmax_formulas_byte_for_byte(self, precision):
@@ -671,8 +683,7 @@ class TestCrossEntropy:
         with ad.using_dtype(precision):
             logits = Tensor(x, requires_grad=True)
             with Tape() as tape:
-                nll = ad.cross_entropy(logits, t)
-                loss = ad.reduce_sum(ad.mul(nll, ad.constant(w)))
+                loss = ad.readout_nll(logits, Tensor(np.eye(11)), t, w)
             backward(tape, loss)
 
         # the log-sum-exp and softmax written out, the upstream gradient w
@@ -684,9 +695,67 @@ class TestCrossEntropy:
         p = e / z[:, None]
         want_grad = p * w[:, None]
         want_grad[rows, t] -= w
-        assert nll.data.dtype == logits.grad.dtype == dtype
-        assert nll.data.tobytes() == want.tobytes()
+        assert loss.data.dtype == logits.grad.dtype == dtype
+        assert loss.data.tobytes() == (want * w).sum().tobytes()
         assert logits.grad.tobytes() == want_grad.tobytes()
+
+
+def _op_by_op_readout(out, E, t, mask, g):
+    """The teacher-forced readout as a chain of ops in numpy, forward and
+    backward each as a node of its own computes it: out @ E.T, the per-row
+    cross-entropy, the product with the mask, the sum; the upstream
+    gradient is g. Returns (loss, out gradient, E gradient)."""
+    x = out @ E.T
+    m = x.max(axis=1, keepdims=True)
+    e = x - m
+    np.exp(e, out=e)
+    z = e.sum(axis=1)
+    rows = np.arange(x.shape[0])
+    nll = m[:, 0] + np.log(z) - x[rows, t]
+    loss = (nll * mask).sum()
+    g_nll = np.broadcast_to(g, nll.shape).copy() * mask
+    gx = e / z[:, None]
+    gx *= g_nll[:, None]
+    gx[rows, t] -= g_nll
+    return loss, gx @ E, gx.T @ out
+
+
+class TestReadoutNll:
+    @pytest.mark.parametrize("precision", ["fp32", "fp64"])
+    def test_matches_the_op_chain_byte_for_byte(self, precision):
+        dtype = np.float32 if precision == "fp32" else np.float64
+        rng = np.random.default_rng(8)
+        B, V, d = 7, 53, 5
+        out = (2 * rng.standard_normal((B, d))).astype(dtype)
+        E = rng.standard_normal((V, d)).astype(dtype)
+        t = rng.integers(0, V, size=B)
+        mask = np.array([1.0, 1, 1, 0, 1, 0, 1])  # float64, as the batches hold it
+        g = np.array(0.37, dtype=dtype)  # the upstream gradient, as a scale
+        with ad.using_dtype(precision):
+            out_t, E_t = Tensor(out, requires_grad=True), Tensor(E, requires_grad=True)
+            with Tape() as tape:
+                loss = ad.scalar_mul(ad.readout_nll(out_t, E_t, t, mask), 0.37)
+            backward(tape, loss)
+            nll = ad.readout_nll(Tensor(out), Tensor(E), t, mask)
+        want, want_out, want_E = _op_by_op_readout(out, E, t, mask.astype(dtype), g)
+        for got, ref in ((nll.data, want), (out_t.grad, want_out), (E_t.grad, want_E)):
+            assert got.dtype == dtype
+            assert got.tobytes() == np.asarray(ref, dtype=dtype).tobytes()
+
+    def test_records_one_node(self, fp64):
+        rng = np.random.default_rng(0)
+        with Tape() as tape:
+            ad.readout_nll(Tensor(rng.standard_normal((2, 3)), requires_grad=True),
+                           Tensor(rng.standard_normal((5, 3)), requires_grad=True),
+                           np.array([0, 4]), np.ones(2))
+        assert len(tape.nodes) == 1
+
+    def test_shape_mismatch_errors(self):
+        out, E = Tensor(np.zeros((2, 3))), Tensor(np.zeros((5, 3)))
+        with pytest.raises(ValueError, match="readout_nll"):
+            ad.readout_nll(out, Tensor(np.zeros((5, 4))), np.array([0, 1]), np.ones(2))
+        with pytest.raises(ValueError, match="targets and mask"):
+            ad.readout_nll(out, E, np.array([0, 1]), np.ones(3))
 
 
 def test_precision_switch_controls_dtype():

@@ -108,12 +108,14 @@ class TestDecodeStep:
             assert got.tobytes() == want.tobytes()
 
     def test_logits_shape_is_vocab(self, fp64):
-        params = tiny_params(vocab_size=9)
+        # the step stops at its (B, d_emb) output; the tied readout is V wide
+        params = tiny_params(vocab_size=9, d=6)
         src_ids, src_mask, _, _ = toy_batch()
         memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
         state = init_decoder_state(params.dec, memory)
-        logits, _ = decode_step(params.dec, state, memory, prev_ids=np.array([1, 1]))
-        assert logits.shape == (2, 9)
+        out, _ = decode_step(params.dec, state, memory, prev_ids=np.array([1, 1]))
+        assert out.shape == (2, 6)
+        assert (out.data @ params.E.data.T).shape == (2, 9)
 
     def test_embedding_feed_equals_id_feed_exactly(self, fp64):
         params = tiny_params()
@@ -144,22 +146,25 @@ class TestDecodeStep:
 
     @pytest.mark.parametrize("precision", ["fp32", "fp64"])
     def test_nll_of_the_logits_is_the_fp64_log_sum_exp(self, precision):
-        # the decoder's output path: cross_entropy of decode_step's logits
-        # against logsumexp(l) - l[t] in fp64 numpy
+        # the decoder's output path: readout_nll of decode_step's output,
+        # one row at a time through the mask, against logsumexp(l) - l[t] of
+        # the logits l = out @ E.T in fp64 numpy
         with ad.using_dtype(precision):
             params = tiny_params()
             src_ids, src_mask, tgt_ids, _ = toy_batch()
             memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
             state = init_decoder_state(params.dec, memory)
-            logits, _ = decode_step(params.dec, state, memory, prev_ids=np.array([1, 1]))
-            nll = ad.cross_entropy(logits, tgt_ids[:, 0])
-        x = logits.data.astype(np.float64)
+            out, _ = decode_step(params.dec, state, memory, prev_ids=np.array([1, 1]))
+            rows = [ad.readout_nll(out, params.E, tgt_ids[:, 0], mask).data
+                    for mask in np.eye(2)]
+        nll = np.array(rows)
+        x = (out.data @ params.E.data.T).astype(np.float64)
         m = x.max(axis=-1)
         want = m + np.log(np.exp(x - m[:, None]).sum(axis=-1)) - x[[0, 1], tgt_ids[:, 0]]
         dtype = np.float32 if precision == "fp32" else np.float64
-        assert nll.data.dtype == logits.data.dtype == dtype
+        assert nll.dtype == out.data.dtype == dtype
         rtol = 1e-6 if precision == "fp32" else 1e-14
-        np.testing.assert_allclose(nll.data, want, rtol=rtol, atol=0)
+        np.testing.assert_allclose(nll, want, rtol=rtol, atol=0)
 
     def test_full_gradient_matches_finite_differences(self, fp64):
         from roundtrip.verification import decode_step_check

@@ -116,37 +116,45 @@ def _soft(logits, noise, tau):
 
 
 def _embed_inputs(dtype, B=5, V=4, d=3, seed=0):
-    """Logits, noise, E and an upstream gradient whose sampled ids repeat."""
+    """Decoder output, noise, E and an upstream gradient; the sampler's
+    logits are the tied readout out @ E.T."""
     rng = np.random.default_rng(seed)
-    logits = rng.standard_normal((B, V)).astype(dtype)
+    out = rng.standard_normal((B, d)).astype(dtype)
     noise = rng.gumbel(size=(B, V)).astype(dtype)
     E = rng.standard_normal((V, d)).astype(dtype)
     g = rng.standard_normal((B, d)).astype(dtype)
-    return logits, noise, E, g
+    return out, noise, E, g
 
 
-def _embed_grads(logits, noise, E, g, soft_forward=False, tau=2.0):
-    """(embedding, ids, logits gradient, E gradient) of sum(stgs_embed * g)."""
-    lt = Tensor(logits, requires_grad=True)
+def _embed_grads(out, noise, E, g, soft_forward=False, tau=2.0):
+    """(embedding, ids, out gradient, E gradient) of sum(stgs_embed * g)."""
+    ot = Tensor(out, requires_grad=True)
     Et = Tensor(E, requires_grad=True)
     with Tape() as tape:
-        emb, ids = stgs_embed(lt, noise, tau, Et, soft_forward=soft_forward)
+        emb, ids = stgs_embed(ot, Et, noise, tau, soft_forward=soft_forward)
         loss = ad.reduce_sum(ad.mul(emb, ad.constant(g)))
     backward(tape, loss)
-    return emb.data, ids, lt.grad, Et.grad
+    return emb.data, ids, ot.grad, Et.grad
+
+
+def _logits_grad(soft, g, E, tau):
+    """The tempered softmax embedding's gradient w.r.t. the logits."""
+    g_dist = g @ E.T
+    return soft * (g_dist - (g_dist * soft).sum(axis=-1, keepdims=True)) / tau
 
 
 class TestStgsCombine:
     """`stgs_embed`: the sampled token's embedding row forward, the tempered
-    softmax embedding's gradient backward."""
+    softmax embedding's gradient backward, through the tied readout. An
+    identity E makes the logits `out` itself, exactly."""
 
     def test_tie_forward_hard_backward_soft(self, fp64):
         logits = Tensor(np.array([[1.0, 1.0]]), requires_grad=True)
         E = Tensor(np.eye(2))  # embedding rows are the one-hots themselves
         with Tape() as tape:
-            st, ids = stgs_embed(logits, np.zeros((1, 2)), tau=2.0, E=E)
+            st, ids = stgs_embed(logits, E, np.zeros((1, 2)), tau=2.0)
             loss = ad.reduce_sum(ad.mul(st, ad.constant(np.array([[1.0, 0.0]]))))
-        soft, _ = stgs_embed(logits, np.zeros((1, 2)), tau=2.0, E=E, soft_forward=True)
+        soft, _ = stgs_embed(logits, E, np.zeros((1, 2)), tau=2.0, soft_forward=True)
         np.testing.assert_array_equal(ids, [0])
         np.testing.assert_array_equal(st.data, [[1.0, 0.0]])
         np.testing.assert_allclose(soft.data, [[0.5, 0.5]])
@@ -159,61 +167,61 @@ class TestStgsCombine:
         rng = np.random.default_rng(11)
         noise = sample_gumbel((2, 6), 1.0, np.random.default_rng(12))
         fixed = ad.constant(rng.standard_normal((2, 3)))
-        logits = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
+        out = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         E = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
 
         def f(_point):
-            st, _ = stgs_embed(logits, noise, 2.0, E, soft_forward=True)
+            st, _ = stgs_embed(out, E, noise, 2.0, soft_forward=True)
             return ad.reduce_sum(ad.mul(st, fixed))
 
-        assert grad_check(f, logits, 1e-5) < 1e-5
+        assert grad_check(f, out, 1e-5) < 1e-5
         assert grad_check(f, E, 1e-5) < 1e-5
 
     def test_hard_and_soft_modes_share_gradients(self, fp64):
-        logits, noise, E, g = _embed_inputs(np.float64, seed=4)
-        _, _, hard_grad, _ = _embed_grads(logits, noise, E, g)
-        _, _, soft_grad, _ = _embed_grads(logits, noise, E, g, soft_forward=True)
-        # same point gives the same logits gradient regardless of forward mode
+        out, noise, E, g = _embed_inputs(np.float64, seed=4)
+        _, _, hard_grad, _ = _embed_grads(out, noise, E, g)
+        _, _, soft_grad, _ = _embed_grads(out, noise, E, g, soft_forward=True)
+        # same point gives the same output gradient regardless of forward mode
         np.testing.assert_array_equal(hard_grad, soft_grad)
 
     def test_small_tau_approaches_hard(self, fp64):
         logits = Tensor(np.array([[3.0, 0.0, -1.0]]))
-        E = Tensor(np.random.default_rng(6).standard_normal((3, 2)))
-        st, _ = stgs_embed(logits, np.zeros((1, 3)), tau=1e-3, E=E)
-        soft, _ = stgs_embed(logits, np.zeros((1, 3)), tau=1e-3, E=E, soft_forward=True)
+        E = Tensor(np.eye(3))
+        st, _ = stgs_embed(logits, E, np.zeros((1, 3)), tau=1e-3)
+        soft, _ = stgs_embed(logits, E, np.zeros((1, 3)), tau=1e-3, soft_forward=True)
         np.testing.assert_allclose(soft.data, st.data, atol=1e-6)
 
     def test_invalid_tau_rejected(self):
         E = Tensor(np.eye(2))
         for tau in (0.0, -1.0):
             with pytest.raises(ValueError):
-                stgs_embed(Tensor(np.zeros((1, 2))), np.zeros((1, 2)), tau=tau, E=E)
+                stgs_embed(Tensor(np.zeros((1, 2))), E, np.zeros((1, 2)), tau=tau)
         with pytest.raises(ValueError):
             STGSConfig(tau=-1.0)
 
     def test_non_finite_logits_rejected(self):
         with pytest.raises(ValueError):
-            stgs_embed(Tensor(np.array([[np.inf, 0.0]])), np.zeros((1, 2)), 2.0,
-                       Tensor(np.eye(2)))
+            stgs_embed(Tensor(np.array([[np.inf, 0.0]])),
+                       Tensor(np.array([[1.0, 0.0], [0.5, 1.0]])), np.zeros((1, 2)), 2.0)
 
     def test_ties_go_to_the_lowest_id(self):
-        _, ids = stgs_embed(Tensor(np.zeros((2, 3))), np.zeros((2, 3)), 2.0,
-                            Tensor(np.eye(3)))
+        _, ids = stgs_embed(Tensor(np.zeros((2, 3))), Tensor(np.eye(3)),
+                            np.zeros((2, 3)), 2.0)
         np.testing.assert_array_equal(ids, [0, 0])
 
     def test_records_one_node(self, fp64):
-        logits, noise, E, _ = _embed_inputs(np.float64)
+        out, noise, E, _ = _embed_inputs(np.float64)
         with Tape() as tape:
-            stgs_embed(Tensor(logits, requires_grad=True), noise, 2.0,
-                       Tensor(E, requires_grad=True))
+            stgs_embed(Tensor(out, requires_grad=True), Tensor(E, requires_grad=True),
+                       noise, 2.0)
         assert len(tape.nodes) == 1
 
     @pytest.mark.parametrize("precision", ["fp32", "fp64"])
     def test_hard_forward_is_the_embedding_row(self, precision):
         dtype = DTYPES[precision]
-        logits, noise, E, g = _embed_inputs(dtype)
+        out, noise, E, g = _embed_inputs(dtype)
         with ad.using_dtype(precision):
-            emb, ids, _, _ = _embed_grads(logits, noise, E, g)
+            emb, ids, _, _ = _embed_grads(out, noise, E, g)
         one_hot = np.eye(E.shape[0], dtype=dtype)[ids]
         assert emb.dtype == dtype
         assert emb.tobytes() == E[ids].tobytes()
@@ -223,69 +231,74 @@ class TestStgsCombine:
     def test_gradients_match_the_one_hot_graph(self, precision):
         # the graph this replaces: the dense one-hot, read by two consumers
         # (the next decoder step and the return-pass encoder) through
-        # one_hot @ E each; the ids repeat, so E's rows sum several terms
+        # one_hot @ E each, over the readout out @ E.T; the ids repeat, so
+        # E's rows sum several terms
         dtype = DTYPES[precision]
-        logits, noise, E, g = _embed_inputs(dtype, B=8, V=3, d=4, seed=2)
+        out, noise, E, g = _embed_inputs(dtype, B=8, V=3, d=4, seed=2)
         g2 = np.random.default_rng(3).standard_normal(g.shape).astype(dtype)
         tau = 2.0
         with ad.using_dtype(precision):
-            lt, Et = Tensor(logits, requires_grad=True), Tensor(E, requires_grad=True)
+            ot, Et = Tensor(out, requires_grad=True), Tensor(E, requires_grad=True)
             with Tape() as tape:
-                emb, ids = stgs_embed(lt, noise, tau, Et)
+                emb, ids = stgs_embed(ot, Et, noise, tau)
                 loss = ad.add(ad.reduce_sum(ad.mul(emb, ad.constant(g))),
                               ad.reduce_sum(ad.mul(emb, ad.constant(g2))))
             backward(tape, loss)
-        assert lt.grad.dtype == Et.grad.dtype == dtype
+        assert ot.grad.dtype == Et.grad.dtype == dtype
         assert len(set(ids.tolist())) < len(ids)
 
         one_hot = np.eye(E.shape[0], dtype=dtype)[ids]
-        soft = _soft(logits, noise, tau)
-        g_dist = g @ E.T + g2 @ E.T
-        ref_logits = soft * (g_dist - (g_dist * soft).sum(axis=-1, keepdims=True)) / tau
-        ref_E = one_hot.T @ g + one_hot.T @ g2
+        soft = _soft(out @ E.T, noise, tau)
+        ref_logits = _logits_grad(soft, g + g2, E, tau)
+        ref_E = one_hot.T @ g + one_hot.T @ g2 + ref_logits.T @ out
         rtol = 1e-5 if precision == "fp32" else 1e-12
-        np.testing.assert_allclose(lt.grad, ref_logits, rtol=rtol, atol=rtol)
+        np.testing.assert_allclose(ot.grad, ref_logits @ E, rtol=rtol, atol=rtol)
         np.testing.assert_allclose(Et.grad, ref_E, rtol=rtol, atol=rtol)
 
     @pytest.mark.parametrize("precision", ["fp32", "fp64"])
     def test_E_gradient_is_the_embedding_scatter(self, precision):
+        # E's first term is the row scatter of a lookup; the readout's
+        # term is added to it after
         dtype = DTYPES[precision]
-        logits, noise, E, g = _embed_inputs(dtype, B=8, V=3, seed=2)
+        out, noise, E, g = _embed_inputs(dtype, B=8, V=3, seed=2)
         with ad.using_dtype(precision):
-            _, ids, _, grad_E = _embed_grads(logits, noise, E, g)
+            _, ids, _, grad_E = _embed_grads(out, noise, E, g)
             table = Tensor(E, requires_grad=True)
             with Tape() as tape:
                 loss = ad.reduce_sum(ad.mul(ad.embedding(table, ids), ad.constant(g)))
             backward(tape, loss)
-        assert grad_E.tobytes() == table.grad.tobytes()
+        readout = _logits_grad(_soft(out @ E.T, noise, 2.0), g, E, 2.0).T @ out
+        assert grad_E.tobytes() == (table.grad + readout).tobytes()
 
     @pytest.mark.parametrize("precision", ["fp32", "fp64"])
     def test_soft_forward_is_the_soft_embedding(self, precision):
         dtype = DTYPES[precision]
-        logits, noise, E, g = _embed_inputs(dtype, seed=5)
+        out, noise, E, g = _embed_inputs(dtype, seed=5)
         with ad.using_dtype(precision):
-            emb, _, _, grad_E = _embed_grads(logits, noise, E, g, soft_forward=True)
-        soft = _soft(logits, noise, 2.0)
+            emb, _, _, grad_E = _embed_grads(out, noise, E, g, soft_forward=True)
+        soft = _soft(out @ E.T, noise, 2.0)
+        readout = _logits_grad(soft, g, E, 2.0).T @ out
         rtol = 1e-6 if precision == "fp32" else 1e-12
         np.testing.assert_allclose(emb, soft @ E, rtol=rtol, atol=rtol)
-        np.testing.assert_allclose(grad_E, soft.T @ g, rtol=rtol, atol=rtol)
+        np.testing.assert_allclose(grad_E, soft.T @ g + readout, rtol=rtol, atol=rtol)
 
 
     @pytest.mark.parametrize("soft_forward", [False, True])
     @pytest.mark.parametrize("precision", ["fp32", "fp64"])
     def test_values_and_gradients_are_the_formulas_byte_for_byte(self, precision,
                                                                  soft_forward):
+        # the readout out @ E.T and the sampler on its logits, as two steps
         dtype = DTYPES[precision]
-        logits, noise, E, g = _embed_inputs(dtype, B=8, V=6, d=4, seed=7)
-        logits *= 3
+        out, noise, E, g = _embed_inputs(dtype, B=8, V=6, d=4, seed=7)
+        out *= 3
         tau = 0.7
         with ad.using_dtype(precision):
-            emb, ids, grad_logits, grad_E = _embed_grads(logits, noise, E, g,
-                                                         soft_forward=soft_forward, tau=tau)
+            emb, ids, grad_out, grad_E = _embed_grads(out, noise, E, g,
+                                                      soft_forward=soft_forward, tau=tau)
 
         # the tempered softmax of the perturbed logits and its straight-through
         # gradients, written out; the upstream gradient is g
-        y = logits + noise
+        y = out @ E.T + noise
         z = y / tau
         z = z - z.max(axis=-1, keepdims=True)
         e = np.exp(z)
@@ -298,8 +311,10 @@ class TestStgsCombine:
         else:
             want_emb, want_E = E[y.argmax(axis=-1)], np.zeros_like(E)
             np.add.at(want_E, y.argmax(axis=-1), g)
+        # E's embedding term first, then the readout's
+        want_E = want_E + want_logits.T @ out
         np.testing.assert_array_equal(ids, y.argmax(axis=-1))
-        for got, want in ((emb, want_emb), (grad_logits, want_logits), (grad_E, want_E)):
+        for got, want in ((emb, want_emb), (grad_out, want_logits @ E), (grad_E, want_E)):
             assert got.dtype == dtype
             assert got.tobytes() == want.tobytes()
 
@@ -310,7 +325,7 @@ class TestStgsCombine:
         logits = np.round(rng.standard_normal((40, 7)))
         logits[:4] = 1.0
         noise = sample_gumbel(logits.shape, beta, rng)
-        _, ids = stgs_embed(Tensor(logits), noise, 2.0, Tensor(np.eye(7)))
+        _, ids = stgs_embed(Tensor(logits), Tensor(np.eye(7)), noise, 2.0)
         np.testing.assert_array_equal(ids, gumbel_max_step(logits, noise))
         if beta == 0.0:
             np.testing.assert_array_equal(ids[:4], 0)

@@ -9,7 +9,7 @@ import pytest
 from roundtrip import autodiff as ad
 from roundtrip import checkpoint as ckpt_io
 from roundtrip import training
-from roundtrip.autodiff import Tensor
+from roundtrip.autodiff import Tape, Tensor
 from roundtrip.config import RunConfig
 from roundtrip.data import Batch, Vocab, make_batch
 from roundtrip.model import ModelConfig, ModelParams, encode, prepare_memory, sequence_nll
@@ -270,6 +270,52 @@ class TestObjectives:
         aux = HiddenReconstructorParams(other_cfg, np.random.default_rng(0))
         with pytest.raises(ValueError, match="width mismatch"):
             hidden_reconstruction_loss(params, toy_batch(), aux, bos_id=1)
+
+
+def _ops(tape):
+    """The op of each node, named by the function that recorded it."""
+    return [fn.__qualname__.split(".")[0] for _, _, fn in tape.nodes]
+
+
+class TestReadoutOnTheTape:
+    """Each consumer forms the tied readout in a node of its own, so no
+    (B, V) array is kept for backward."""
+
+    V = 61  # wider than every other axis of these forwards
+
+    def _forwards(self):
+        """The E matrices, and (tape, teacher-forced steps, sampled steps) of
+        a pretrain, a sampled and a hidden forward."""
+        params = tiny_params(vocab_size=self.V, d=4, seed=2)
+        aux = HiddenReconstructorParams(params.config, np.random.default_rng(3))
+        batch = toy_batch()
+        T = batch.tgt_ids.shape[1]
+        with Tape() as pretrain:
+            translation_loss(params, batch, bos_id=1)
+        with Tape() as sampled:
+            *_, sample = reconstruction_loss(params, batch, GumbelNoiseSource(0.5, 3),
+                                             STGSConfig(), bos_id=1, eos_id=2,
+                                             phase="finetune")
+        with Tape() as hidden:
+            hidden_reconstruction_loss(params, batch, aux, bos_id=1)
+        return ((params.E, aux.dec_enc.E, aux.dec_dec.E),
+                [(pretrain, T, 0), (sampled, T, sample.ids.shape[1]), (hidden, 3 * T, 0)])
+
+    def test_no_node_keeps_a_vocabulary_wide_array(self, fp64):
+        for tape, *_ in self._forwards()[1]:
+            for out, inputs, _ in tape.nodes:
+                for t in (out,) + inputs:
+                    assert t.shape[-1:] != (self.V,)
+
+    def test_one_readout_node_per_step(self, fp64):
+        Es, forwards = self._forwards()
+        for tape, teacher_forced, sampled in forwards:
+            ops = _ops(tape)
+            assert ops.count("readout_nll") == teacher_forced
+            assert ops.count("stgs_embed") == sampled
+            reading_E = {op for op, (_, inputs, _) in zip(ops, tape.nodes)
+                         if any(t is E for t in inputs for E in Es)}
+            assert reading_E <= {"embedding", "readout_nll", "stgs_embed"}
 
 
 class TestParameterCounts:
