@@ -89,7 +89,7 @@ def load(path: str, config: ModelConfig | None = None) -> tuple[ModelParams, Voc
                                      f"this run's {field} is {getattr(config, field)!r}")
         tokens = str(data["__vocab__"]).split("\n")[len(RESERVED):]
         vocab = Vocab(tokens, header.get("tags", tokens[:2]), header.get("merges", []))
-        params = ModelParams(config or ModelConfig(**header["config"]), np.random.default_rng(0))
+        params = ModelParams(config or ModelConfig(**header["config"]), None)
         for name, t in params.named_parameters():
             key = f"param/{name}"
             if key not in data:

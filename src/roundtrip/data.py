@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -186,12 +186,29 @@ def _pad(rows: list[list[int]], pad_id: int) -> tuple[np.ndarray, np.ndarray]:
     return ids, mask
 
 
+def _batch(src: list[list[int]], tgt: list[list[int]], pad_id: int) -> Batch:
+    return Batch(*_pad(src, pad_id), *_pad(tgt, pad_id))
+
+
 def make_batch(vocab: Vocab, pairs: Sequence[ParallelPair]) -> Batch:
+    return _batch([encode_sentence(vocab, p.source) for p in pairs],
+                  [encode_sentence(vocab, p.target) for p in pairs], vocab.pad)
+
+
+def length_ordered_batches(vocab: Vocab, pairs: Sequence[ParallelPair],
+                           batch_size: int) -> Iterator[tuple[list[int], Batch]]:
+    """The pairs in a stable order of (source length, target length), counted
+    in the vocab's pieces, cut into batches of `batch_size` (the last may be
+    short), each with its rows' positions in `pairs`. Pairs of like length
+    share a batch, so little of it is padding. This is for scoring and
+    decoding, where which pairs share a batch changes nothing but rounding;
+    training batches are `make_batches`'."""
     src = [encode_sentence(vocab, p.source) for p in pairs]
     tgt = [encode_sentence(vocab, p.target) for p in pairs]
-    src_ids, src_mask = _pad(src, vocab.pad)
-    tgt_ids, tgt_mask = _pad(tgt, vocab.pad)
-    return Batch(src_ids, src_mask, tgt_ids, tgt_mask)
+    order = sorted(range(len(pairs)), key=lambda i: (len(src[i]), len(tgt[i])))
+    for start in range(0, len(order), batch_size):
+        rows = order[start: start + batch_size]
+        yield rows, _batch([src[i] for i in rows], [tgt[i] for i in rows], vocab.pad)
 
 
 class LazyBatches:

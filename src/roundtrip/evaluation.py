@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import ParallelPair, Vocab, make_batch
+from .data import ParallelPair, Vocab, length_ordered_batches
 from .model import (DecoderState, Memory, ModelParams, decode_step, encode,
                     init_decoder_state, length_caps, prepare_memory)
 
@@ -193,14 +193,14 @@ def corpus_bleu(hypotheses: list[str], references: list[str]) -> float:
 
 def perplexity(params: ModelParams, corpus: list[ParallelPair], vocab: Vocab,
                batch_size: int = 48) -> float:
-    """exp(mean per-token teacher-forced NLL), dropout off."""
+    """exp(mean per-token teacher-forced NLL), dropout off, in batches of
+    like length."""
     from .model import teacher_forced_nll
 
     if not corpus:
         raise ValueError("empty corpus")
     total, tokens = 0.0, 0.0
-    for i in range(0, len(corpus), batch_size):
-        batch = make_batch(vocab, corpus[i: i + batch_size])
+    for _, batch in length_ordered_batches(vocab, corpus, batch_size):
         loss_sum, n = teacher_forced_nll(
             params, batch.src_ids, batch.src_mask, batch.tgt_ids, batch.tgt_mask,
             vocab.bos)
@@ -211,11 +211,10 @@ def perplexity(params: ModelParams, corpus: list[ParallelPair], vocab: Vocab,
 
 def decode_corpus(params: ModelParams, vocab: Vocab, pairs: list[ParallelPair],
                   config: DecodeConfig, batch_size: int = 48) -> list[str]:
-    """Decode sources to target-language words (tag and EOS stripped)."""
-    out: list[str] = []
-    for i in range(0, len(pairs), batch_size):
-        chunk = pairs[i: i + batch_size]
-        batch = make_batch(vocab, chunk)
+    """Decode sources to target-language words (tag and EOS stripped), in
+    batches of like length; the outputs keep the order of `pairs`."""
+    out: list[str] = [""] * len(pairs)
+    for positions, batch in length_ordered_batches(vocab, pairs, batch_size):
         if config.mode == "beam" and config.beam_width > 1:
             rows = []
             for b in range(batch.size):
@@ -227,7 +226,8 @@ def decode_corpus(params: ModelParams, vocab: Vocab, pairs: list[ParallelPair],
             rows = greedy_decode(params, batch.src_ids, batch.src_mask,
                                  vocab.bos, vocab.eos, config.max_len_factor,
                                  config.max_len_offset)
-        out.extend(" ".join(vocab.decode(ids)) for ids in rows)
+        for i, ids in zip(positions, rows):
+            out[i] = " ".join(vocab.decode(ids))
     return out
 
 

@@ -31,13 +31,19 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-s, s, size=(fan_in, fan_out))
 
 
+def _weight(rng: np.random.Generator | None, fan_in: int, fan_out: int) -> np.ndarray:
+    """A Xavier draw, or with no `rng` zeros, for a caller that sets every
+    weight itself."""
+    return np.zeros((fan_in, fan_out)) if rng is None else _xavier(rng, fan_in, fan_out)
+
+
 class LstmCellParams:
     """Single LSTM cell; gate order (input, forget, cell, output)."""
 
     def __init__(self, rng, d_in: int, d_hidden: int, layer_norm: bool):
         h = d_hidden
-        self.Wx = Tensor(_xavier(rng, d_in, 4 * h), requires_grad=True)
-        self.Wh = Tensor(_xavier(rng, h, 4 * h), requires_grad=True)
+        self.Wx = Tensor(_weight(rng, d_in, 4 * h), requires_grad=True)
+        self.Wh = Tensor(_weight(rng, h, 4 * h), requires_grad=True)
         bias = np.zeros(4 * h)
         if not layer_norm:
             bias[h: 2 * h] = 1.0  # forget-gate bias
@@ -70,10 +76,10 @@ class AttentionParams:
     """Single-hidden-layer MLP attention with tanh."""
 
     def __init__(self, rng, d_ann: int, d_query: int, d_att: int):
-        self.w_ann = Tensor(_xavier(rng, d_ann, d_att), requires_grad=True)
-        self.w_query = Tensor(_xavier(rng, d_query, d_att), requires_grad=True)
+        self.w_ann = Tensor(_weight(rng, d_ann, d_att), requires_grad=True)
+        self.w_query = Tensor(_weight(rng, d_query, d_att), requires_grad=True)
         self.bias = Tensor(np.zeros(d_att), requires_grad=True)
-        self.v = Tensor(_xavier(rng, d_att, 1)[:, 0], requires_grad=True)
+        self.v = Tensor(_weight(rng, d_att, 1)[:, 0], requires_grad=True)
 
     def named(self, prefix: str):
         yield f"{prefix}.w_ann", self.w_ann
@@ -94,11 +100,11 @@ class DecoderParams:
         d_emb, d_hidden = config.d_emb, config.d_hidden
         self.cell = LstmCellParams(rng, d_emb + d_ann, d_hidden, config.layer_norm)
         self.att = AttentionParams(rng, d_ann, d_hidden, config.d_attention)
-        self.w_init_h = Tensor(_xavier(rng, d_ann, d_hidden), requires_grad=True)
+        self.w_init_h = Tensor(_weight(rng, d_ann, d_hidden), requires_grad=True)
         self.b_init_h = Tensor(np.zeros(d_hidden), requires_grad=True)
-        self.w_init_c = Tensor(_xavier(rng, d_ann, d_hidden), requires_grad=True)
+        self.w_init_c = Tensor(_weight(rng, d_ann, d_hidden), requires_grad=True)
         self.b_init_c = Tensor(np.zeros(d_hidden), requires_grad=True)
-        self.w_out = Tensor(_xavier(rng, d_hidden + d_ann, d_emb), requires_grad=True)
+        self.w_out = Tensor(_weight(rng, d_hidden + d_ann, d_emb), requires_grad=True)
         self.b_out = Tensor(np.zeros(d_emb), requires_grad=True)
         self.E = E
         self.dropout = config.dropout
@@ -116,11 +122,13 @@ class DecoderParams:
 
 
 class ModelParams:
-    """All trainable weights; embedding matrix doubles as output projection."""
+    """All trainable weights; embedding matrix doubles as output projection.
+    The weight matrices are Xavier draws from `rng`, or zeros with no `rng`,
+    for a caller that sets every parameter (`checkpoint.load`)."""
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
         self.config = config
-        self.E = Tensor(_xavier(rng, config.vocab_size, config.d_emb), requires_grad=True)
+        self.E = Tensor(_weight(rng, config.vocab_size, config.d_emb), requires_grad=True)
         self.enc_fwd = LstmCellParams(rng, config.d_emb, config.d_hidden, config.layer_norm)
         self.enc_bwd = LstmCellParams(rng, config.d_emb, config.d_hidden, config.layer_norm)
         self.dec = DecoderParams(rng, config, self.E, 2 * config.d_hidden)

@@ -217,30 +217,50 @@ def _op_by_op_cell(x, h, c, Wx, Wh, b, gain, bias, keep, g_h_out, g_c_out, g_h_l
     return h_out, c_out, grads
 
 
+def _saturate(inputs, n=4):
+    """Make, in place, three columns of every gate's pre-activation exactly 0, ±150 and
+    -1e4 (whose exp underflows): those columns of Wx and Wh are zeroed, and
+    the values are put in b, or, under layer norm, in its bias with the gain
+    there 0."""
+    cols = np.arange(4)[:, None] * n + np.arange(3)
+    values = np.array([[0.0, 150.0, -1e4], [0.0, -150.0, -1e4]] * 2)
+    inputs[3].data[:, cols] = 0.0
+    inputs[4].data[:, cols] = 0.0
+    if len(inputs) == 8:
+        inputs[6].data[cols] = 0.0
+        inputs[7].data[cols] = values
+    else:
+        inputs[5].data[cols] = values
+
+
 class TestLstmCell:
     @pytest.mark.parametrize("precision", ["fp32", "fp64"])
     @pytest.mark.parametrize("layer_norm", [True, False])
     @pytest.mark.parametrize("keep", [None, [[1.0], [0.0], [1.0]]])
     def test_matches_op_by_op_graph_bit_for_bit(self, precision, layer_norm, keep):
-        with ad.using_dtype(precision):
-            rng = np.random.default_rng(13)
-            inputs = _cell_inputs(rng, layer_norm=layer_norm)
-            w_h, w_c, w_later = (ad.constant(rng.standard_normal((3, 4))) for _ in range(3))
-            keep = None if keep is None else np.array(keep)
-            with Tape() as tape:
-                h_out, c_out = ad.lstm_cell(*inputs, keep=keep)
-                loss = ad.add(ad.add(ad.reduce_sum(ad.mul(h_out, w_h)),
-                                     ad.reduce_sum(ad.mul(c_out, w_c))),
-                              ad.reduce_sum(ad.mul(inputs[1], w_later)))
-            backward(tape, loss)
-            data = [t.data for t in inputs] + [None] * (8 - len(inputs))
-            ref_h, ref_c, ref_grads = _op_by_op_cell(
-                *data, None if keep is None else keep.astype(inputs[0].data.dtype),
-                w_h.data, w_c.data, w_later.data)
+        keep = None if keep is None else np.array(keep)
         names = ["x", "h", "c", "Wx", "Wh", "b", "gain", "bias"]
-        for got, want in [(h_out.data, ref_h), (c_out.data, ref_c)] + [
-                (t.grad, ref_grads[name]) for name, t in zip(names, inputs)]:
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for saturated in (False, True):
+            with ad.using_dtype(precision):
+                rng = np.random.default_rng(13)
+                inputs = _cell_inputs(rng, layer_norm=layer_norm)
+                if saturated:
+                    _saturate(inputs)
+                w_h, w_c, w_later = (ad.constant(rng.standard_normal((3, 4)))
+                                     for _ in range(3))
+                with Tape() as tape:
+                    h_out, c_out = ad.lstm_cell(*inputs, keep=keep)
+                    loss = ad.add(ad.add(ad.reduce_sum(ad.mul(h_out, w_h)),
+                                         ad.reduce_sum(ad.mul(c_out, w_c))),
+                                  ad.reduce_sum(ad.mul(inputs[1], w_later)))
+                backward(tape, loss)
+                data = [t.data for t in inputs] + [None] * (8 - len(inputs))
+                ref_h, ref_c, ref_grads = _op_by_op_cell(
+                    *data, None if keep is None else keep.astype(inputs[0].data.dtype),
+                    w_h.data, w_c.data, w_later.data)
+            for got, want in [(h_out.data, ref_h), (c_out.data, ref_c)] + [
+                    (t.grad, ref_grads[name]) for name, t in zip(names, inputs)]:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_one_step_records_two_nodes(self):
         inputs = _cell_inputs(np.random.default_rng(0))

@@ -14,12 +14,14 @@ with open(os.path.join(REPO, "BENCHMARK.json"), encoding="utf-8") as _fh:
     BENCH = json.load(_fh)
 WORKLOADS = [w["name"] for w in BENCH["workloads"]]
 
-# per side and metric, the value each seed 1-5 reads, on every workload
+# per side and metric, the value each seed 1-10 reads, on every workload
 VALUES = {
-    "parent": {"setup_s": [0.1, 0.2, 0.3, 0.4, 0.5],
-               "pretrain_tok_s": [100.0, 200.0, 300.0, 400.0, 500.0]},
-    "change": {"setup_s": [0.05, 0.25, 0.2, 0.5, 0.45],
-               "pretrain_tok_s": [110.0, 190.0, 310.0, 390.0, 520.0]},
+    "parent": {"setup_s": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
+               "pretrain_tok_s": [100.0, 200.0, 300.0, 400.0, 500.0,
+                                  600.0, 700.0, 800.0, 900.0, 1000.0]},
+    "change": {"setup_s": [0.05, 0.25, 0.2, 0.5, 0.45, 0.55, 0.65, 0.85, 0.95, 0.75],
+               "pretrain_tok_s": [110.0, 190.0, 310.0, 390.0, 520.0,
+                                  590.0, 720.0, 780.0, 880.0, 1010.0]},
 }
 NODES = {"parent": 400.0, "change": 300.0}
 
@@ -32,7 +34,7 @@ def fake_perfbench(calls, parent_tree):
             metrics = {f"autodiff.nodes_per_update.{p}": NODES[side] + i
                        for i, p in enumerate(benchpair.PHASES)}
         else:
-            metrics = {m["name"]: VALUES[side].get(m["name"], [1.0] * 5)[seed - 1]
+            metrics = {m["name"]: VALUES[side].get(m["name"], [1.0] * 10)[seed - 1]
                        for m in BENCH["end_to_end"]}
         return {"correct": True, "attempted": 3, "failed": 0,
                 "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}
@@ -53,7 +55,7 @@ def point(tmp_path):
 def test_runs_alternate_odd_seeds_parent_first(point):
     data, calls = point
     want = []
-    for seed in range(1, 6):
+    for seed in range(1, 11):
         for workload in WORKLOADS:
             sides = ["parent", "change"] if seed % 2 else ["change", "parent"]
             want += [(side, workload, seed, BENCH["run_seconds"], 0) for side in sides]
@@ -69,13 +71,13 @@ def test_summary_arithmetic(point):
     for workload in WORKLOADS:
         setup = data["summary"][workload]["setup_s"]
         assert setup == {"better": "lower", "bound": 0.25,
-                         "parent_q1_median_q3": [0.2, 0.3, 0.4],
-                         "change_q1_median_q3": [0.2, 0.25, 0.45],
-                         "median_ratio": 0.8333, "change_wins": "3/5"}
+                         "parent_q1_median_q3": [0.325, 0.55, 0.775],
+                         "change_q1_median_q3": [0.3, 0.525, 0.725],
+                         "median_ratio": 0.9545, "change_wins": "6/10"}
         rate = data["summary"][workload]["pretrain_tok_s"]
-        assert rate["parent_q1_median_q3"] == [200.0, 300.0, 400.0]
-        assert rate["change_q1_median_q3"] == [190.0, 310.0, 390.0]
-        assert (rate["median_ratio"], rate["change_wins"]) == (1.0333, "3/5")
+        assert rate["parent_q1_median_q3"] == [325.0, 550.0, 775.0]
+        assert rate["change_q1_median_q3"] == [330.0, 555.0, 765.0]
+        assert (rate["median_ratio"], rate["change_wins"]) == (1.0091, "5/10")
     assert data["nodes_per_update_traced_rev32_seed1"] == {
         "pretrain": {"parent": 400.0, "change": 300.0},
         "sampled": {"parent": 401.0, "change": 301.0},

@@ -9,8 +9,8 @@ from roundtrip import autodiff as ad
 from roundtrip.bpe import SubwordModel, learn_subword_model
 from roundtrip.data import (ParallelPair, TaggedSentence, Vocab,
                             build_bidirectional_corpus, encode_sentence,
-                            filter_by_length, load_parallel, make_batch,
-                            make_batches)
+                            filter_by_length, length_ordered_batches,
+                            load_parallel, make_batch, make_batches)
 
 
 def pair(src_tokens, tgt_tokens, src_lang="sw", tgt_lang="en"):
@@ -223,6 +223,36 @@ class TestBatches:
         for mask in (batch.src_mask, batch.tgt_mask):
             assert set(np.unique(mask)) <= {0.0, 1.0}
         assert np.all(batch.tgt_ids[batch.tgt_mask == 0] == v.pad)
+
+
+class TestLengthOrderedBatches:
+    def test_batches_of_like_length_each_with_its_positions(self):
+        # lengths interleaved in file order; ties keep file order
+        lengths = [1, 6, 2, 5, 3, 4, 1, 6, 2, 5, 3]
+        corpus = [pair([f"w{i}"] * n, [f"v{i}"] * n) for i, n in enumerate(lengths)]
+        v = Vocab.build(corpus)
+        got = list(length_ordered_batches(v, corpus, 4))
+        assert [positions for positions, _ in got] == \
+            [[0, 6, 2, 8], [4, 10, 5, 3], [9, 1, 7]]
+        for positions, batch in got:
+            want = make_batch(v, [corpus[i] for i in positions])
+            for a, b in zip(vars(batch).values(), vars(want).values()):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_target_length_breaks_source_ties(self):
+        corpus = [pair(["a", "b"], ["c", "d", "e"]), pair(["a", "b"], ["c"]),
+                  pair(["a"], ["c", "d"])]
+        got = length_ordered_batches(Vocab.build(corpus), corpus, 1)
+        assert [positions for positions, _ in got] == [[2], [1], [0]]
+
+    def test_lengths_are_counted_in_pieces(self):
+        # "xyz" is one word of three pieces, "ab ab" two words of one piece each
+        subword = SubwordModel([("a", "b")])
+        corpus = [pair(["xyz"], ["xyz"]), pair(["ab", "ab"], ["ab", "ab"])]
+        v = Vocab.build(corpus, subword)
+        assert [len(v.encode(p.source.tokens)) for p in corpus] == [3, 2]
+        got = length_ordered_batches(v, corpus, 1)
+        assert [positions for positions, _ in got] == [[1], [0]]
 
 
 class TestPadContributesNothing:

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roundtrip import autodiff as ad
-from roundtrip import evaluation
-from roundtrip.data import ParallelPair, TaggedSentence, Vocab, make_batch
+from roundtrip import evaluation, model
+from roundtrip.data import (ParallelPair, TaggedSentence, Vocab,
+                            build_bidirectional_corpus, make_batch)
 from roundtrip.evaluation import (DecodeConfig, beam_decode,
                                   corpus_bleu, decode_corpus, delta_bleu_report,
                                   greedy_decode, perplexity, tokenize_13a_approx)
@@ -131,6 +132,61 @@ class TestGreedyAndSampling:
                             lambda params, src_ids, *args: [ids] * len(src_ids))
         pairs = [ParallelPair(TaggedSentence("l1", ("b",)), TaggedSentence("l2", ("b",)))]
         assert decode_corpus(None, vocab, pairs, DecodeConfig()) == ["<br> ab"]
+
+
+def interleaved_corpus():
+    """Reversal pairs whose lengths interleave in file order, and their vocab."""
+    words = [f"w{i}" for i in range(8)]
+    lengths = [1, 6, 2, 5, 1, 6, 2, 5, 3, 4, 3, 4, 6]
+    pairs = [ParallelPair(TaggedSentence("l1", tuple(words[i % 3: i % 3 + n])),
+                          TaggedSentence("l2", tuple(reversed(words[i % 3: i % 3 + n]))))
+             for i, n in enumerate(lengths)]
+    return pairs, Vocab.build(build_bidirectional_corpus(pairs))
+
+
+class TestLengthOrderedEvaluation:
+    @pytest.mark.parametrize("config", [DecodeConfig(),
+                                        DecodeConfig(mode="beam", beam_width=3)],
+                             ids=["greedy", "beam3"])
+    def test_decode_corpus_keeps_input_order(self, fp64, config):
+        pairs, vocab = interleaved_corpus()
+        params = tiny_params(vocab_size=len(vocab), seed=2)
+        got = decode_corpus(params, vocab, pairs, config, batch_size=4)
+        alone = [decode_corpus(params, vocab, [p], config)[0] for p in pairs]
+        assert got == alone
+        assert len(set(got)) > 1
+
+    def test_perplexity_runs_each_chunk_to_its_longest_target(self, fp64, monkeypatch):
+        pairs, vocab = interleaved_corpus()
+        params = tiny_params(vocab_size=len(vocab), seed=2)
+        calls = []
+        real_step = model.decode_step
+
+        def counted_step(*args, **kwargs):
+            calls.append(1)
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(model, "decode_step", counted_step)
+        perplexity(params, pairs, vocab, batch_size=4)
+        # targets are tag, words, EOS; chunks of 4 taken in length order
+        lengths = sorted(len(p.target) + 2 for p in pairs)
+        assert len(calls) == sum(max(lengths[i: i + 4]) for i in range(0, len(lengths), 4))
+
+    def test_perplexity_scores_every_pair_once(self):
+        pairs, vocab = interleaved_corpus()
+        with ad.using_dtype("fp64"):
+            params = tiny_params(vocab_size=len(vocab), seed=2)
+            nll, tokens = 0.0, 0.0
+            for p in pairs:
+                batch = make_batch(vocab, [p])
+                loss_sum, n = teacher_forced_nll(params, batch.src_ids, batch.src_mask,
+                                                 batch.tgt_ids, batch.tgt_mask, vocab.bos)
+                nll, tokens = nll + float(loss_sum.data), tokens + n
+        for _, t in params.named_parameters():
+            t.data = t.data.astype(np.float32)
+        with ad.using_dtype("fp32"):
+            got = perplexity(params, pairs, vocab, batch_size=4)
+        assert got == pytest.approx(math.exp(nll / tokens), rel=1e-6)
 
 
 def random_batch(rng, n_sents=8, vocab_size=12):

@@ -10,6 +10,7 @@ import pytest
 
 from roundtrip import autodiff as ad
 from roundtrip import checkpoint as ckpt_io
+from roundtrip import model
 from roundtrip.autodiff import Tape, backward
 from roundtrip.data import Vocab
 from roundtrip.model import (ModelConfig, ModelParams, attend, decode_step, encode,
@@ -269,6 +270,27 @@ class TestCheckpoint:
             assert np.array_equal(t1.data, t2.data)
         assert loaded_vocab.id_to_token == vocab.id_to_token
         assert header["meta"]["update"] == 7
+
+    @pytest.mark.parametrize("precision", ["fp32", "fp64"])
+    def test_load_takes_the_stored_arrays_without_an_init_draw(self, tmp_path,
+                                                               monkeypatch, precision):
+        with ad.using_dtype(precision):
+            params = tiny_params(vocab_size=9, seed=4)
+        path = str(tmp_path / "ckpt.npz")
+        ckpt_io.save(path, params, self._vocab())
+
+        def no_draw(*args):
+            raise AssertionError("load drew initial weights")
+
+        monkeypatch.setattr(model, "_xavier", no_draw)
+        loaded, _, _ = ckpt_io.load(path)
+        with ad.using_dtype(precision):
+            ckpt_io.load(path, params.config)
+        assert loaded.dec.E is loaded.E
+        for (n1, t1), (n2, t2) in zip(params.named_parameters(),
+                                      loaded.named_parameters(), strict=True):
+            assert n1 == n2 and t1.data.dtype == t2.data.dtype
+            assert t1.data.tobytes() == t2.data.tobytes()
 
     def test_vocab_tags_and_merges_saved(self, tmp_path, fp64):
         params = tiny_params(vocab_size=9, seed=4)

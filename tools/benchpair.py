@@ -7,7 +7,7 @@ REV is a git revision of this repository or a directory holding a tree, as
 `tools/samework.py` takes it; it is the parent side. "This tree" is the one
 this script sits in, uncommitted edits included; it is the change side.
 
-For seeds 1-5 and every workload in BENCHMARK.json, the two sides run
+For seeds 1-10 and every workload in BENCHMARK.json, the two sides run
 `perfbench/run.py --workload W --seed S --seconds <run_seconds> --trace 0`
 one after the other, the parent first on odd seeds and the change first on
 even seeds. One traced rev32 seed-1 pair follows, for the node counts. Each
@@ -35,7 +35,7 @@ import numpy as np
 
 from samework import REPO, _unpack
 
-SEEDS = range(1, 6)
+SEEDS = range(1, 11)
 TRACED = ("rev32", 1)
 PHASES = ("pretrain", "sampled", "hidden")
 
