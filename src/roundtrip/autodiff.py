@@ -14,7 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-_DTYPE_NAMES = {"fp32": np.float32, "fp64": np.float64}
+# the run precisions by name; checkpoints and the run config read it
+PRECISIONS = {"fp32": np.dtype(np.float32), "fp64": np.dtype(np.float64)}
 _default_dtype = np.dtype(np.float64)
 
 
@@ -27,10 +28,10 @@ def using_dtype(name: str):
     """Make new tensors of the float width `name` ("fp32" or "fp64") inside
     the block, and restore the previous width on leaving it."""
     global _default_dtype
-    if name not in _DTYPE_NAMES:
+    if name not in PRECISIONS:
         raise ValueError(f"unknown precision {name!r}; expected fp32 or fp64")
     saved = _default_dtype
-    _default_dtype = np.dtype(_DTYPE_NAMES[name])
+    _default_dtype = PRECISIONS[name]
     try:
         yield
     finally:
@@ -85,9 +86,9 @@ class Tape:
     _stack: list["Tape"] = []
 
     def __init__(self):
-        # node = (output, inputs, backward_fn); backward_fn maps the gradient
-        # w.r.t. output to a tuple of gradients w.r.t. inputs (None allowed).
-        self.nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        # node = (outputs, inputs, backward_fn); backward_fn maps one gradient
+        # per output to a tuple of gradients w.r.t. inputs (None allowed).
+        self.nodes: list[tuple[tuple[Tensor, ...], tuple[Tensor, ...], Callable]] = []
 
     def __enter__(self) -> "Tape":
         Tape._stack.append(self)
@@ -97,13 +98,16 @@ class Tape:
         Tape._stack.pop()
 
 
-def record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
-    """Attach a custom node to the active tape (no-op without one)."""
+def record(out, inputs: Sequence[Tensor], backward_fn: Callable):
+    """Attach a custom node to the active tape (no-op without one); `out` is
+    one Tensor or a tuple of them, and backward_fn takes one gradient each."""
     if Tape._stack:
         for t in inputs:
             if t.requires_grad:
-                out.requires_grad = True
-                Tape._stack[-1].nodes.append((out, tuple(inputs), backward_fn))
+                outs = out if type(out) is tuple else (out,)
+                for o in outs:
+                    o.requires_grad = True
+                Tape._stack[-1].nodes.append((outs, tuple(inputs), backward_fn))
                 break
     return out
 
@@ -111,10 +115,10 @@ def record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tens
 def backward(tape: Tape, loss: Tensor) -> None:
     """Replay the tape in reverse, attaching gradients to leaf tensors.
 
-    Each gradient accumulates in its tensor's .grad; a produced tensor's is
-    cleared once its node has run, so only the leaves keep theirs. Every
-    requires_grad leaf on the tape ends up with a .grad: the accumulated
-    gradient if reachable from the loss, zeros otherwise.
+    Each gradient accumulates in its tensor's .grad. A node runs once, with
+    one gradient per output (None for one no node read) unless all are None,
+    and clears its outputs' .grad, so only the leaves keep theirs. Every
+    requires_grad leaf ends up with a .grad, zeros if unreachable from the loss.
 
     A tensor's first gradient is kept as the backward function returned it
     and is never written: `add` hands one array to both inputs, `concat`
@@ -129,15 +133,16 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
 
     loss.grad = np.ones_like(loss.data)
-    produced = {id(out) for out, _, _ in tape.nodes}
+    produced = {id(out) for outs, _, _ in tape.nodes for out in outs}
     owned: set[int] = set()  # ids of the tensors whose .grad this pass made
 
-    for out, inputs, backward_fn in reversed(tape.nodes):
-        g_out = out.grad
-        if g_out is None:
+    for outs, inputs, backward_fn in reversed(tape.nodes):
+        g_outs = [out.grad for out in outs]
+        if g_outs[-1] is None and all(g is None for g in g_outs):
             continue
-        out.grad = None
-        for t, g in zip(inputs, backward_fn(g_out)):
+        for out in outs:
+            out.grad = None
+        for t, g in zip(inputs, backward_fn(*g_outs)):
             if g is None or not t.requires_grad:
                 continue
             if t.grad is None:
@@ -193,21 +198,19 @@ def scalar_mul(a: Tensor, s: float) -> Tensor:
     return record(out, (a,), lambda g: (g * s,))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b for 2D@2D and ND@2D (stacked rows)."""
-    if b.data.ndim != 2:
-        raise ValueError(f"matmul rhs must be 2D, got ndim {b.data.ndim}")
-    out = Tensor(a.data @ b.data)
-    a_data, b_data = a.data, b.data
+def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """x @ W + b for 2-D x or stacked rows, as one node whose values and
+    gradients round as those of a matmul node then a bias add node."""
+    if x.ndim < 2 or W.shape != (x.shape[-1],) + b.shape or b.ndim != 1:
+        raise ValueError(f"affine shapes x {x.shape}, W {W.shape}, b {b.shape}")
+    W_data, x_rows = W.data, x.data.reshape(-1, W.shape[0])
+    out = Tensor(np.asarray(x.data @ W_data, dtype=_default_dtype))
+    out.data += b.data
 
     def bwd(g):
-        ga = g @ b_data.T
-        g2 = g.reshape(-1, g.shape[-1])
-        a2 = a_data.reshape(-1, a_data.shape[-1])
-        gb = a2.T @ g2
-        return ga, gb
+        return g @ W_data.T, x_rows.T @ g.reshape(-1, g.shape[-1]), _unbroadcast(g, b.shape)
 
-    return record(out, (a, b), bwd)
+    return record(out, (x, W, b), bwd)
 
 
 def weighted_sum(weights: Tensor, values: Tensor) -> Tensor:
@@ -277,7 +280,7 @@ LN_EPSILON = 1e-6
 def lstm_cell(x: Tensor, h: Tensor, c: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor,
               ln_gain: Tensor | None = None, ln_bias: Tensor | None = None,
               keep: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """One LSTM step recorded as two nodes, c then h; returns (h_new, c_new).
+    """One LSTM step recorded as one node; returns (h_new, c_new).
 
     The pre-activation (x@Wx + h@Wh) + b, layer-normalized over its 4H
     columns when ln_gain and ln_bias are given, holds the gates in the order
@@ -335,21 +338,22 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor
         c_out = Tensor(c_new * m + c_data * inv)
         h_out = Tensor(h_new * m + h_data * inv)
 
-    # the h node runs first in backward; it hands the c node the output
-    # gate's share of the pre-activation gradient
-    o_grad: list[np.ndarray] = []
-
-    def bwd_c(g_out):
-        # with keep, g_out is the carried c's gradient plus the h node's
-        # tanh(c_new) term; in 1 rows that is c_new's gradient, in 0 rows
-        # both terms of c_new's gradient are zero
-        gc = g_out if keep is None else g_out * m
+    def bwd(g_h, g_c):
+        # h's share of c_new's gradient is added after that of c's readers
+        g_o = 0.0
+        if g_h is not None:
+            gh = g_h if keep is None else g_h * m
+            g_o = o * (1.0 - o) * (gh * tc)
+            from_h = (1.0 - tc * tc) * (gh * o)
+            g_c = from_h if g_c is None else g_c + from_h
+        # with keep, g_c is c_new's gradient in 1 rows; in 0 rows both terms are 0
+        gc = g_c if keep is None else g_c * m
         gpre = np.empty(s.shape, dtype=gc.dtype)
         gpre[:, :n] = i * (1.0 - i) * (gc * g)
         gpre[:, n: 2 * n] = f * (1.0 - f) * (gc * c_data)
         gpre[:, 2 * n: 3 * n] = (1.0 - g * g) * (gc * i)
-        gpre[:, 3 * n:] = o_grad.pop() if o_grad else 0.0
-        g_c = gc * f if keep is None else g_out * inv + gc * f
+        gpre[:, 3 * n:] = g_o
+        g_c_in = gc * f if keep is None else g_c * inv + gc * f
         ln_grads = ()
         if ln:
             ln_grads = ((gpre * xhat).sum(axis=0), gpre.sum(axis=0))
@@ -358,25 +362,21 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor
             m1 = gx_hat.sum(axis=-1, keepdims=True) / width
             m2 = (gx_hat * xhat).sum(axis=-1, keepdims=True) / width
             gpre = inv_std * (gx_hat - m1 - xhat * m2)
-        return (gpre @ Wx.data.T, gpre @ Wh.data.T, g_c, x_data.T @ gpre,
-                h_data.T @ gpre, gpre.sum(axis=0)) + ln_grads
+        grads = (gpre @ Wx.data.T, gpre @ Wh.data.T, g_c_in, x_data.T @ gpre,
+                 h_data.T @ gpre, gpre.sum(axis=0)) + ln_grads
+        return grads if keep is None else (None if g_h is None else g_h * inv,) + grads
 
-    def bwd_h(g_out):
-        gh = g_out if keep is None else g_out * m
-        o_grad.append(o * (1.0 - o) * (gh * tc))
-        g_c = (1.0 - tc * tc) * (gh * o)
-        return (g_c,) if keep is None else (g_c, g_out * inv)
-
-    record(c_out, (x, h, c, Wx, Wh, b) + ln, bwd_c)
-    record(h_out, (c_out,) if keep is None else (c_out, h), bwd_h)
-    return h_out, c_out
+    # with keep, h is listed first a second time, for its carried share
+    inputs = (x, h, c, Wx, Wh, b) + ln
+    return record((h_out, c_out), inputs if keep is None else (h,) + inputs, bwd)
 
 
 def readout_nll(out: Tensor, E: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
     """Sum over rows of mask * NLL of the targets under softmax(out @ E.T),
     via log-sum-exp: one decoder step's tied readout, scored, as one node.
 
-    The (N, V) logits become in place the exp buffer backward reads. Values
+    The (N, V) logits become in place the exp buffer, in which the backward,
+    run once as `backward` runs each node, forms the softmax gradient. Values
     and gradients round exactly as those of the op chain out @ E.T,
     cross-entropy, product with the mask in the run dtype, sum.
     """
@@ -400,9 +400,9 @@ def readout_nll(out: Tensor, E: Tensor, targets: np.ndarray, mask: np.ndarray) -
     loss = Tensor(((m[:, 0] + np.log(z) - target) * mask).sum())
 
     def bwd(g):
-        # the softmax, then its product with the rows' gradient, in one array
+        # the softmax, then its product with the rows' gradient, in e itself
         g_rows = g * mask
-        gx = e / z[:, None]
+        gx = np.divide(e, z[:, None], out=e)
         gx *= g_rows[:, None]
         gx[rows, t] -= g_rows
         return gx @ E_data, gx.T @ out_data

@@ -21,15 +21,14 @@ from .model import ModelConfig, ModelParams
 
 FORMAT_VERSION = 1
 
-_PRECISIONS = {np.dtype(np.float32): "fp32", np.dtype(np.float64): "fp64"}
-
 
 def precision(params: ModelParams) -> str:
     """The precision of `params`, whose arrays must share one float dtype."""
     dtypes = {t.data.dtype for _, t in params.named_parameters()}
-    if len(dtypes) != 1 or not dtypes <= _PRECISIONS.keys():
-        raise ValueError(f"parameters of mixed or non-float dtypes {sorted(map(str, dtypes))}")
-    return _PRECISIONS[dtypes.pop()]
+    for name, dtype in ad.PRECISIONS.items():
+        if dtypes == {dtype}:
+            return name
+    raise ValueError(f"parameters of mixed or non-float dtypes {sorted(map(str, dtypes))}")
 
 
 def _le(a: np.ndarray) -> np.ndarray:
@@ -98,9 +97,10 @@ def load(path: str, config: ModelConfig | None = None) -> tuple[ModelParams, Voc
             if stored.shape != t.data.shape:
                 raise ValueError(f"shape mismatch for {name}")
             t.data = np.ascontiguousarray(stored)
-    if config is not None and precision(params) != _PRECISIONS[ad.default_dtype()]:
+    run = next(name for name, dtype in ad.PRECISIONS.items() if dtype == ad.default_dtype())
+    if config is not None and precision(params) != run:
         raise ValueError(f"{path} holds a model with precision={precision(params)!r}; "
-                         f"this run's precision is {_PRECISIONS[ad.default_dtype()]!r}")
+                         f"this run's precision is {run!r}")
     return params, vocab, header
 
 

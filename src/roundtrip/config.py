@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
+from . import autodiff as ad
 from .model import ModelConfig
 
 
@@ -50,7 +51,7 @@ class RunConfig:
     out_dir: str = ""
 
     def __post_init__(self):
-        if self.precision not in ("fp32", "fp64"):
+        if self.precision not in ad.PRECISIONS:
             raise ValueError(f"precision must be fp32 or fp64, got {self.precision!r}")
         if self.recon_mode not in ("none", "sampled", "hidden"):
             raise ValueError(f"unknown recon_mode {self.recon_mode!r}")

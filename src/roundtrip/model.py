@@ -202,13 +202,13 @@ def encode(params: ModelParams, src_ids: np.ndarray | None, src_mask: np.ndarray
 
 
 def prepare_memory(dec: DecoderParams, enc: EncoderOutput) -> Memory:
-    keys = ad.add(ad.matmul(enc.annotations, dec.att.w_ann), dec.att.bias)
+    keys = ad.affine(enc.annotations, dec.att.w_ann, dec.att.bias)
     return Memory(enc.annotations, keys, enc.mask, enc.summary)
 
 
 def init_decoder_state(dec: DecoderParams, memory: Memory) -> DecoderState:
-    h0 = ad.tanh(ad.add(ad.matmul(memory.summary, dec.w_init_h), dec.b_init_h))
-    c0 = ad.tanh(ad.add(ad.matmul(memory.summary, dec.w_init_c), dec.b_init_c))
+    h0 = ad.tanh(ad.affine(memory.summary, dec.w_init_h, dec.b_init_h))
+    c0 = ad.tanh(ad.affine(memory.summary, dec.w_init_c, dec.b_init_c))
     return DecoderState(h0, c0)
 
 
@@ -238,7 +238,7 @@ def decode_step(dec: DecoderParams, state: DecoderState, memory: Memory,
     x = ad.concat([emb, context], axis=-1)
     h_new, c_new = dec.cell.step(x, state.h, state.cell)
     combined = ad.concat([ad.dropout(h_new, p_drop, rng), context], axis=-1)
-    out = ad.tanh(ad.add(ad.matmul(combined, dec.w_out), dec.b_out))
+    out = ad.tanh(ad.affine(combined, dec.w_out, dec.b_out))
     return out, DecoderState(h_new, c_new)
 
 

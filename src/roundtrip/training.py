@@ -32,6 +32,7 @@ _STREAM_INIT, _STREAM_EPOCH, _STREAM_DROPOUT, _STREAM_GUMBEL = 11, 13, 17, 19
 
 METRICS_COLUMNS = ("phase", "update", "checkpoint", "lr", "train_ppl",
                    "dev_ppl", "l_t", "l_r", "seed")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -154,10 +155,8 @@ class Adam:
     instead of `lr`.
     """
 
-    def __init__(self, named_params, beta1: float = 0.9, beta2: float = 0.999,
-                 epsilon: float = 1e-8, group=()):
+    def __init__(self, named_params, group=()):
         self.named_params = list(named_params)
-        self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
         self.group = frozenset(group)
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.named_params}
@@ -166,8 +165,8 @@ class Adam:
     def step(self, lr: float, group_lr: float | None = None) -> None:
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - ADAM_BETA1 ** t
+        bc2 = 1.0 - ADAM_BETA2 ** t
         for name, p in self.named_params:
             g = p.grad
             if g is None:
@@ -175,19 +174,19 @@ class Adam:
             m = self.m[name]
             v = self.v[name]
             # the moments, then step_lr * (m/bc1) / (sqrt(v/bc2) + eps), in two arrays
-            step = np.multiply(g, 1.0 - self.beta1)
-            m *= self.beta1
+            step = np.multiply(g, 1.0 - ADAM_BETA1)
+            m *= ADAM_BETA1
             m += step
             denom = g * g
-            denom *= 1.0 - self.beta2
-            v *= self.beta2
+            denom *= 1.0 - ADAM_BETA2
+            v *= ADAM_BETA2
             v += denom
             step_lr = group_lr if name in self.group else lr
             np.divide(m, bc1, out=step)
             step *= step_lr
             np.divide(v, bc2, out=denom)
             np.sqrt(denom, out=denom)
-            denom += self.epsilon
+            denom += ADAM_EPSILON
             step /= denom
             p.data -= step
 

@@ -55,11 +55,11 @@ def primitive_checks(seed: int = 0) -> list[ComponentReport]:
     def check(name, f, point):
         reports.append(ComponentReport(name, grad_check(f, point)))
 
-    m64 = ad.constant(rng.standard_normal((6, 4)))
-    w54 = ad.constant(rng.standard_normal((5, 4)))
-    check("matmul",
-          lambda x: ad.reduce_sum(ad.mul(ad.matmul(x, m64), w54)),
-          Tensor(rng.standard_normal((5, 6)), requires_grad=True))
+    aff = [Tensor(rng.standard_normal(shape), requires_grad=True)
+           for shape in ((2, 5, 6), (6, 4), (4,))]
+    w_a = ad.constant(rng.standard_normal((2, 5, 4)))
+    for name, point in zip(("x", "W", "b"), aff):
+        check(f"affine.{name}", lambda _t: ad.reduce_sum(ad.mul(ad.affine(*aff), w_a)), point)
     w_ws = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     v_ws = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
     w23 = ad.constant(rng.standard_normal((2, 3)))

@@ -1,6 +1,7 @@
 """Tensor/tape primitives against the finite-difference oracle."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,11 +263,12 @@ class TestLstmCell:
                     (t.grad, ref_grads[name]) for name, t in zip(names, inputs)]:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
-    def test_one_step_records_two_nodes(self):
+    def test_one_step_records_one_node(self):
         inputs = _cell_inputs(np.random.default_rng(0))
         with Tape() as tape:
-            ad.lstm_cell(*inputs, keep=np.ones((3, 1)))
-        assert len(tape.nodes) == 2
+            h_out, c_out = ad.lstm_cell(*inputs, keep=np.ones((3, 1)))
+        assert len(tape.nodes) == 1
+        assert tape.nodes[0][0] == (h_out, c_out)
 
 
 class TestWeightedSum:
@@ -306,6 +308,45 @@ class TestWeightedSum:
     def test_shape_mismatch_errors(self):
         with pytest.raises(ValueError, match="weighted_sum"):
             ad.weighted_sum(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4, 5))))
+
+
+class TestAffine:
+    @pytest.mark.parametrize("precision", ["fp32", "fp64"])
+    @pytest.mark.parametrize("lead", [(3,), (3, 4)], ids=["rows", "stacked_rows"])
+    def test_matches_matmul_then_add_byte_for_byte(self, precision, lead):
+        # the reference is the graph affine replaced, in plain numpy: a matmul
+        # node, then a bias add node whose gradient reaches the bias summed
+        # over every leading axis
+        with ad.using_dtype(precision):
+            rng = np.random.default_rng(len(lead))
+            x = Tensor(rng.standard_normal(lead + (5,)), requires_grad=True)
+            W = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+            b = Tensor(rng.standard_normal(2), requires_grad=True)
+            g = ad.constant(rng.standard_normal(lead + (2,)))
+            with Tape() as tape:
+                out = ad.affine(x, W, b)
+                loss = ad.reduce_sum(ad.mul(out, g))
+            backward(tape, loss)
+        g_b = g.data.sum(axis=0)
+        if len(lead) == 2:
+            g_b = g_b.sum(axis=0)
+        want = [x.data @ W.data + b.data, g.data @ W.data.T,
+                x.data.reshape(-1, 5).T @ g.data.reshape(-1, 2), g_b]
+        for got, ref in zip([out.data, x.grad, W.grad, b.grad], want):
+            assert got.dtype == ref.dtype == np.dtype(precision.replace("fp", "float"))
+            assert got.tobytes() == ref.tobytes()
+
+    def test_records_one_node(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with Tape() as tape:
+            ad.affine(x, Tensor(np.ones((3, 4))), Tensor(np.zeros(4)))
+        assert len(tape.nodes) == 1
+
+    @pytest.mark.parametrize("x, W, b", [((2, 3), (4, 5), (5,)), ((2, 3), (3, 5), (3,)),
+                                         ((3,), (3, 5), (5,)), ((2, 3), (3, 5, 1), (5,))])
+    def test_shape_mismatch_errors(self, x, W, b):
+        with pytest.raises(ValueError, match="affine"):
+            ad.affine(Tensor(np.ones(x)), Tensor(np.ones(W)), Tensor(np.ones(b)))
 
 
 def test_every_recording_primitive_has_a_named_check():
@@ -374,9 +415,12 @@ class TestBackward:
         w2 = ad.constant(rng.standard_normal((4, 3)))
         v = ad.constant(rng.standard_normal(3))
 
+        b1 = ad.constant(rng.standard_normal(4))
+        b2 = ad.constant(rng.standard_normal(3))
+
         def f(x):
-            h = ad.tanh(ad.matmul(x, w1))
-            out = ad.tanh(ad.matmul(h, w2))
+            h = ad.tanh(ad.affine(x, w1, b1))
+            out = ad.tanh(ad.affine(h, w2, b2))
             return ad.reduce_sum(ad.mul(out, v))
 
         point = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
@@ -412,10 +456,51 @@ class TestBackward:
             h = ad.tanh(ad.mul(x, w))
             loss = ad.reduce_sum(ad.add(h, h))
         backward(tape, loss)
-        assert all(out.grad is None for out, _, _ in tape.nodes)
+        assert all(out.grad is None for outs, _, _ in tape.nodes for out in outs)
         dh = 2.0 * (1.0 - np.tanh(x.data * w.data) ** 2)
         np.testing.assert_allclose(x.grad, dh * w.data, rtol=1e-12)
         np.testing.assert_allclose(w.grad, dh * x.data, rtol=1e-12)
+
+    @staticmethod
+    def _two_outputs(x, calls):
+        """A node with outputs (2x, 3x) that records the gradients it gets."""
+        def bwd(g_a, g_b):
+            calls.append((g_a, g_b))
+            return (sum(2.0 * g if k == 0 else 3.0 * g for k, g in enumerate((g_a, g_b))
+                        if g is not None),)
+        return ad.record((Tensor(2.0 * x.data), Tensor(3.0 * x.data)), (x,), bwd)
+
+    def test_an_output_nothing_reads_gets_none(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        calls = []
+        with Tape() as tape:
+            a, _ = self._two_outputs(x, calls)
+            loss = ad.reduce_sum(a)
+        backward(tape, loss)
+        assert len(calls) == 1 and calls[0][1] is None
+        np.testing.assert_array_equal(calls[0][0], [1.0, 1.0])
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+    def test_a_node_no_reader_reaches_is_skipped(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        calls = []
+        with Tape() as tape:
+            self._two_outputs(x, calls)
+            loss = ad.reduce_sum(ad.mul(x, x))
+        backward(tape, loss)
+        assert calls == []
+        np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+
+    def test_no_output_keeps_a_gradient(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        calls = []
+        with Tape() as tape:
+            a, b = self._two_outputs(x, calls)
+            loss = ad.reduce_sum(ad.mul(a, b))
+        backward(tape, loss)
+        assert a.grad is None and b.grad is None
+        assert all(out.grad is None for outs, _, _ in tape.nodes for out in outs)
+        np.testing.assert_array_equal(x.grad, 12.0 * x.data)
 
     def test_accumulation_is_additive(self):
         x = Tensor([1.0, 1.0], requires_grad=True)
@@ -431,8 +516,9 @@ class TestBackward:
             w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
             keys = ad.constant(rng.standard_normal((4, 3, 4)))
             v = ad.constant(rng.standard_normal(4))
+            b = ad.constant(rng.standard_normal(4))
             with Tape() as tape:
-                h = ad.tanh(ad.matmul(x, w))
+                h = ad.tanh(ad.affine(x, w, b))
                 p = ad.attention(h, w, keys, v, np.ones((4, 3)))
                 loss = ad.reduce_sum(ad.mul(p, p))
             backward(tape, loss)
@@ -449,13 +535,13 @@ def _backward_recording_returns(tape, loss):
     returned = []
 
     def recording(fn):
-        def bwd(g):
-            grads = fn(g)
+        def bwd(*g_outs):
+            grads = fn(*g_outs)
             returned.extend((a, a.copy()) for a in grads if a is not None)
             return grads
         return bwd
 
-    tape.nodes[:] = [(out, inputs, recording(fn)) for out, inputs, fn in tape.nodes]
+    tape.nodes[:] = [(outs, inputs, recording(fn)) for outs, inputs, fn in tape.nodes]
     backward(tape, loss)
     return returned
 
@@ -581,9 +667,9 @@ def _attention_over_keys(rng):
 PRIMS = {
     "tanh": lambda rng: (lambda x: ad.reduce_sum(ad.tanh(x)),
                          Tensor(rng.standard_normal(5), requires_grad=True)),
-    "matmul": lambda rng: (
-        (lambda m: (lambda x: ad.reduce_sum(ad.matmul(x, m))))(
-            ad.constant(rng.standard_normal((4, 3)))),
+    "affine": lambda rng: (
+        (lambda W, b: (lambda x: ad.reduce_sum(ad.affine(x, W, b))))(
+            ad.constant(rng.standard_normal((4, 3))), ad.constant(rng.standard_normal(3))),
         Tensor(rng.standard_normal((2, 4)), requires_grad=True)),
     "attention": _attention_over_keys,
     "cross_entropy": lambda rng: (
@@ -776,6 +862,29 @@ class TestReadoutNll:
             ad.readout_nll(out, Tensor(np.zeros((5, 4))), np.array([0, 1]), np.ones(2))
         with pytest.raises(ValueError, match="targets and mask"):
             ad.readout_nll(out, E, np.array([0, 1]), np.ones(3))
+
+
+def test_readout_backward_allocates_no_vocabulary_wide_array():
+    # the softmax gradient is formed in the exp buffer the node keeps
+    B, V, d = 48, 4100, 16
+    rng = np.random.default_rng(0)
+    with ad.using_dtype("fp32"):
+        out = Tensor(rng.standard_normal((B, d)), requires_grad=True)
+        E = Tensor(rng.standard_normal((V, d)), requires_grad=True)
+        with Tape() as tape:
+            ad.readout_nll(out, E, rng.integers(0, V, size=B), np.ones(B))
+    (_, _, bwd), = tape.nodes
+    g = np.ones((), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        grads = bwd(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert [a.shape for a in grads] == [(B, d), (V, d)]
+    assert peak < B * V * 4
 
 
 def test_precision_switch_controls_dtype():

@@ -73,7 +73,9 @@ def test_summary_arithmetic(point):
         assert setup == {"better": "lower", "bound": 0.25,
                          "parent_q1_median_q3": [0.325, 0.55, 0.775],
                          "change_q1_median_q3": [0.3, 0.525, 0.725],
-                         "median_ratio": 0.9545, "change_wins": "6/10"}
+                         "median_ratio": 0.9545, "change_wins": "6/10",
+                         "by_seed": {side: VALUES[side]["setup_s"]
+                                     for side in ("parent", "change")}}
         rate = data["summary"][workload]["pretrain_tok_s"]
         assert rate["parent_q1_median_q3"] == [325.0, 550.0, 775.0]
         assert rate["change_q1_median_q3"] == [330.0, 555.0, 765.0]

@@ -40,7 +40,7 @@ class TestAdam:
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
         p1 = Tensor(np.array([0.5]), requires_grad=True)
         p2 = Tensor(np.array([-1.0]), requires_grad=True)
-        opt = Adam([("p1", p1), ("p2", p2)], beta1=b1, beta2=b2, epsilon=eps)
+        opt = Adam([("p1", p1), ("p2", p2)])
 
         x1, x2 = 0.5, -1.0
         m1 = m2 = v1 = v2 = 0.0
@@ -277,45 +277,74 @@ def _ops(tape):
     return [fn.__qualname__.split(".")[0] for _, _, fn in tape.nodes]
 
 
+def _forwards(V):
+    """The E matrices, and (tape, teacher-forced steps, sampled steps,
+    decoder passes) of a pretrain, a sampled and a hidden forward at
+    vocabulary size V."""
+    params = tiny_params(vocab_size=V, d=4, seed=2)
+    aux = HiddenReconstructorParams(params.config, np.random.default_rng(3))
+    batch = toy_batch()
+    T = batch.tgt_ids.shape[1]
+    with Tape() as pretrain:
+        translation_loss(params, batch, bos_id=1)
+    with Tape() as sampled:
+        *_, sample = reconstruction_loss(params, batch, GumbelNoiseSource(0.5, 3),
+                                         STGSConfig(), bos_id=1, eos_id=2,
+                                         phase="finetune")
+    with Tape() as hidden:
+        hidden_reconstruction_loss(params, batch, aux, bos_id=1)
+    return ((params.E, aux.dec_enc.E, aux.dec_dec.E),
+            [(pretrain, T, 0, 1), (sampled, T, sample.ids.shape[1], 2),
+             (hidden, 3 * T, 0, 3)])
+
+
 class TestReadoutOnTheTape:
     """Each consumer forms the tied readout in a node of its own, so no
     (B, V) array is kept for backward."""
 
     V = 61  # wider than every other axis of these forwards
 
-    def _forwards(self):
-        """The E matrices, and (tape, teacher-forced steps, sampled steps) of
-        a pretrain, a sampled and a hidden forward."""
-        params = tiny_params(vocab_size=self.V, d=4, seed=2)
-        aux = HiddenReconstructorParams(params.config, np.random.default_rng(3))
-        batch = toy_batch()
-        T = batch.tgt_ids.shape[1]
-        with Tape() as pretrain:
-            translation_loss(params, batch, bos_id=1)
-        with Tape() as sampled:
-            *_, sample = reconstruction_loss(params, batch, GumbelNoiseSource(0.5, 3),
-                                             STGSConfig(), bos_id=1, eos_id=2,
-                                             phase="finetune")
-        with Tape() as hidden:
-            hidden_reconstruction_loss(params, batch, aux, bos_id=1)
-        return ((params.E, aux.dec_enc.E, aux.dec_dec.E),
-                [(pretrain, T, 0), (sampled, T, sample.ids.shape[1]), (hidden, 3 * T, 0)])
-
     def test_no_node_keeps_a_vocabulary_wide_array(self, fp64):
-        for tape, *_ in self._forwards()[1]:
-            for out, inputs, _ in tape.nodes:
-                for t in (out,) + inputs:
+        for tape, *_ in _forwards(self.V)[1]:
+            for outs, inputs, _ in tape.nodes:
+                for t in outs + inputs:
                     assert t.shape[-1:] != (self.V,)
 
     def test_one_readout_node_per_step(self, fp64):
-        Es, forwards = self._forwards()
-        for tape, teacher_forced, sampled in forwards:
+        Es, forwards = _forwards(self.V)
+        for tape, teacher_forced, sampled, _ in forwards:
             ops = _ops(tape)
             assert ops.count("readout_nll") == teacher_forced
             assert ops.count("stgs_embed") == sampled
             reading_E = {op for op, (_, inputs, _) in zip(ops, tape.nodes)
                          if any(t is E for t in inputs for E in Es)}
             assert reading_E <= {"embedding", "readout_nll", "stgs_embed"}
+
+
+class TestOneNodePerLayer:
+    """Each LSTM step and each dense layer of a forward is one node."""
+
+    def test_one_cell_node_per_call_and_one_affine_node_per_dense_layer(
+            self, fp64, monkeypatch):
+        cell_tapes = []
+        cell = ad.lstm_cell
+
+        def counting_cell(*args, **kwargs):
+            cell_tapes.append(Tape._stack[-1])
+            return cell(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "lstm_cell", counting_cell)
+        for tape, teacher_forced, sampled, passes in _forwards(9)[1]:
+            ops = _ops(tape)
+            assert ops.count("lstm_cell") == sum(t is tape for t in cell_tapes) > 0
+            # the attention keys and both initial states once a pass, the
+            # output layer once a step
+            assert ops.count("affine") == 3 * passes + teacher_forced + sampled
+            produced = {id(out) for outs, _, _ in tape.nodes for out in outs}
+            for op, (_, inputs, _) in zip(ops, tape.nodes):
+                if op == "add":
+                    assert not any(t.requires_grad and id(t) not in produced
+                                   for t in inputs)
 
 
 class TestParameterCounts:

@@ -18,7 +18,8 @@ OUT is a JSON file with the fields the committed `BENCH_*.json` share:
 (the git tree hash of this tree's `src/`), `machine`, `summary`, `runs`,
 and `nodes_per_update_traced_rev32_seed1`. Per workload and end-to-end
 metric, `summary` gives each side's quartiles, the ratio of the medians
-(change over parent) and in how many seeds the change read better.
+(change over parent), in how many seeds the change read better and
+`by_seed`, each side's values in seed order.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ def plan(workloads: list[str]) -> list[tuple[str, str, int, int]]:
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload and metric: quartiles of each side, median ratio (change
-    over parent) and the seeds in which the change read better."""
+    over parent), the seeds in which the change read better and each side's
+    values in seed order."""
     summary: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs if not r["trace"]):
         summary[workload] = {}
@@ -98,7 +100,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 "parent_q1_median_q3": quartiles["parent"],
                 "change_q1_median_q3": quartiles["change"],
                 "median_ratio": round(quartiles["change"][1] / quartiles["parent"][1], 4),
-                "change_wins": f"{wins}/{len(parent)}"}
+                "change_wins": f"{wins}/{len(parent)}",
+                "by_seed": {side: [v[s] for s in sorted(v)] for side, v in values.items()}}
     return summary
 
 
