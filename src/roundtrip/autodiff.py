@@ -278,12 +278,12 @@ LN_EPSILON = 1e-6
 
 
 def lstm_cell(x: Tensor, h: Tensor, c: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor,
-              ln_gain: Tensor | None = None, ln_bias: Tensor | None = None,
+              ln_gain: Tensor, ln_bias: Tensor,
               keep: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """One LSTM step recorded as one node; returns (h_new, c_new).
 
     The pre-activation (x@Wx + h@Wh) + b, layer-normalized over its 4H
-    columns when ln_gain and ln_bias are given, holds the gates in the order
+    columns with gain ln_gain and bias ln_bias, holds the gates in the order
     (input, forget, cell, output): c_new = σ(f)·c + σ(i)·tanh(g) and
     h_new = σ(o)·tanh(c_new). In the rows where the 0/1 column `keep` (B, 1)
     is 0, h and c pass through unchanged, as the encoder carries its state
@@ -302,23 +302,21 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor
             or b.shape != (4 * n,)):
         raise ValueError(f"lstm_cell shapes x {x.shape}, h {h.shape}, c {c.shape}, "
                          f"Wx {Wx.shape}, Wh {Wh.shape}, b {b.shape}")
-    ln = () if ln_gain is None else (ln_gain, ln_bias)
-    if any(t is None or t.shape != (4 * n,) for t in ln):
+    if ln_gain.shape != (4 * n,) or ln_bias.shape != (4 * n,):
         raise ValueError(f"layer norm gain and bias must both have shape ({4 * n},)")
     if keep is not None and np.shape(keep) != (B, 1):
         raise ValueError(f"keep must be a (B, 1) column, got {np.shape(keep)}")
 
     x_data, h_data, c_data = x.data, h.data, c.data
     pre = np.asarray(x_data @ Wx.data + h_data @ Wh.data + b.data, dtype=_default_dtype)
-    if ln:
-        width = 4 * n
-        # sum / width is the value ndarray.mean gives, without its Python wrapper
-        mu = pre.sum(axis=-1, keepdims=True) / width
-        centered = pre - mu
-        var = (centered * centered).sum(axis=-1, keepdims=True) / width
-        inv_std = 1.0 / np.sqrt(var + LN_EPSILON)
-        xhat = centered * inv_std
-        pre = xhat * ln_gain.data + ln_bias.data
+    width = 4 * n
+    # sum / width is the value ndarray.mean gives, without its Python wrapper
+    mu = pre.sum(axis=-1, keepdims=True) / width
+    centered = pre - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) / width
+    inv_std = 1.0 / np.sqrt(var + LN_EPSILON)
+    xhat = centered * inv_std
+    pre = xhat * ln_gain.data + ln_bias.data
     # sigmoid of all four blocks at once (the cell block's goes unused); exp
     # only ever sees non-positive arguments, so no overflow. Its numerator is
     # 1 where pre >= 0 and e elsewhere: e <= 1, and max with a bool is the
@@ -354,20 +352,18 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, Wx: Tensor, Wh: Tensor, b: Tensor
         gpre[:, 2 * n: 3 * n] = (1.0 - g * g) * (gc * i)
         gpre[:, 3 * n:] = g_o
         g_c_in = gc * f if keep is None else g_c * inv + gc * f
-        ln_grads = ()
-        if ln:
-            ln_grads = ((gpre * xhat).sum(axis=0), gpre.sum(axis=0))
-            gx_hat = gpre * ln_gain.data
-            # d/dx of (x - mu) * inv_std with mu, var both functions of x
-            m1 = gx_hat.sum(axis=-1, keepdims=True) / width
-            m2 = (gx_hat * xhat).sum(axis=-1, keepdims=True) / width
-            gpre = inv_std * (gx_hat - m1 - xhat * m2)
+        g_gain, g_bias = (gpre * xhat).sum(axis=0), gpre.sum(axis=0)
+        gx_hat = gpre * ln_gain.data
+        # d/dx of (x - mu) * inv_std with mu, var both functions of x
+        m1 = gx_hat.sum(axis=-1, keepdims=True) / width
+        m2 = (gx_hat * xhat).sum(axis=-1, keepdims=True) / width
+        gpre = inv_std * (gx_hat - m1 - xhat * m2)
         grads = (gpre @ Wx.data.T, gpre @ Wh.data.T, g_c_in, x_data.T @ gpre,
-                 h_data.T @ gpre, gpre.sum(axis=0)) + ln_grads
+                 h_data.T @ gpre, gpre.sum(axis=0), g_gain, g_bias)
         return grads if keep is None else (None if g_h is None else g_h * inv,) + grads
 
     # with keep, h is listed first a second time, for its carried share
-    inputs = (x, h, c, Wx, Wh, b) + ln
+    inputs = (x, h, c, Wx, Wh, b, ln_gain, ln_bias)
     return record((h_out, c_out), inputs if keep is None else (h,) + inputs, bwd)
 
 

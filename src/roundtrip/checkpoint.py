@@ -16,6 +16,7 @@ import os
 import numpy as np
 
 from . import autodiff as ad
+from .config import is_retired
 from .data import RESERVED, Vocab
 from .model import ModelConfig, ModelParams
 
@@ -81,6 +82,8 @@ def load(path: str, config: ModelConfig | None = None) -> tuple[ModelParams, Voc
         header = json.loads(str(data["__header__"]))
         if header["version"] != FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint version {header['version']}")
+        header["config"] = {field: value for field, value in header["config"].items()
+                            if not is_retired(field, value, path)}
         if config is not None:
             for field, value in header["config"].items():
                 if field != "dropout" and value != getattr(config, field):

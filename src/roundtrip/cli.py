@@ -19,7 +19,7 @@ from .data import (ParallelPair, TaggedSentence, Vocab, build_bidirectional_corp
                    filter_by_length, lang_tag, load_parallel, tag_lang)
 from .evaluation import (DecodeConfig, corpus_bleu, decode_corpus,
                          delta_bleu_report, format_delta_report, perplexity)
-from .training import Trainer
+from .training import Trainer, append_rows
 from .verification import format_suite, run_suite
 
 
@@ -70,7 +70,8 @@ def _build_parser() -> _Parser:
     cp = sub.add_parser("score", help="corpus BLEU of a hypothesis file")
     cp.add_argument("--hyp", help="hypothesis file")
     cp.add_argument("--ref", help="reference file")
-    cp.add_argument("--csv-out", help="append a CSV row here")
+    cp.add_argument("--csv-out", help="append the BLEU row (with --report, the report's "
+                                      "rows) here; the header only on a new file")
     cp.add_argument("--src", help="source file: report teacher-forced perplexity "
                                   "of the references (needs --checkpoint)")
     cp.add_argument("--checkpoint", help="model for the perplexity report "
@@ -200,10 +201,8 @@ def cmd_score(args) -> int:
         rows = delta_bleu_report(base, treat)
         print(format_delta_report(rows))
         if args.csv_out:
-            with open(args.csv_out, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-                writer.writeheader()
-                writer.writerows(rows)
+            columns = list(rows[0])
+            append_rows(args.csv_out, columns, [[r[c] for c in columns] for r in rows])
         return 0
     if not args.hyp or not args.ref:
         raise UsageError("score requires --hyp and --ref (or --report)")
@@ -226,12 +225,8 @@ def cmd_score(args) -> int:
     if ppl is not None:
         print(f"perplexity = {ppl:.4f}")
     if args.csv_out:
-        new = not os.path.exists(args.csv_out)
-        with open(args.csv_out, "a", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            if new:
-                writer.writerow(["hyp", "ref", "bleu"])
-            writer.writerow([args.hyp, args.ref, f"{bleu:.4f}"])
+        append_rows(args.csv_out, ["hyp", "ref", "bleu"],
+                    [[args.hyp, args.ref, f"{bleu:.4f}"]])
     return 0
 
 

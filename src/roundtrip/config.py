@@ -16,7 +16,6 @@ class RunConfig:
     d_hidden: int = 64
     d_attention: int = 64
     dropout: float = 0.2
-    layer_norm: bool = True
     # data
     src_lang: str = "l1"
     tgt_lang: str = "l2"
@@ -59,10 +58,20 @@ class RunConfig:
     def model_config(self, vocab_size: int) -> ModelConfig:
         return ModelConfig(vocab_size=vocab_size, d_emb=self.d_emb,
                            d_hidden=self.d_hidden, d_attention=self.d_attention,
-                           dropout=self.dropout, layer_norm=self.layer_norm)
+                           dropout=self.dropout)
 
 
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}
+
+
+def is_retired(key: str, value, where: str) -> bool:
+    """Whether `key` is `layer_norm`, which config files and checkpoint
+    headers held while an LSTM cell could go without layer norm: its true is
+    accepted and ignored, and any other value refused."""
+    if key == "layer_norm" and str(value).lower() not in ("true", "1", "yes"):
+        raise ValueError(f"{where}: layer_norm may only be true, got {value!r}; the "
+                         f"unnormalized LSTM cell is gone")
+    return key == "layer_norm"
 
 
 def _parse_value(name: str, raw: str):
@@ -90,6 +99,8 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
+        if is_retired(key, raw, f"line {lineno}"):
+            continue
         if key not in _FIELDS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         values[key] = _parse_value(key, raw)

@@ -23,7 +23,6 @@ class ModelConfig:
     d_hidden: int = 64
     d_attention: int = 64
     dropout: float = 0.2
-    layer_norm: bool = True
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -38,32 +37,24 @@ def _weight(rng: np.random.Generator | None, fan_in: int, fan_out: int) -> np.nd
 
 
 class LstmCellParams:
-    """Single LSTM cell; gate order (input, forget, cell, output)."""
+    """Single layer-normalized LSTM cell; gate order (input, forget, cell, output)."""
 
-    def __init__(self, rng, d_in: int, d_hidden: int, layer_norm: bool):
+    def __init__(self, rng, d_in: int, d_hidden: int):
         h = d_hidden
         self.Wx = Tensor(_weight(rng, d_in, 4 * h), requires_grad=True)
         self.Wh = Tensor(_weight(rng, h, 4 * h), requires_grad=True)
-        bias = np.zeros(4 * h)
-        if not layer_norm:
-            bias[h: 2 * h] = 1.0  # forget-gate bias
-        self.b = Tensor(bias, requires_grad=True)
-        if layer_norm:
-            ln_bias = np.zeros(4 * h)
-            ln_bias[h: 2 * h] = 1.0
-            self.ln_gain = Tensor(np.ones(4 * h), requires_grad=True)
-            self.ln_bias = Tensor(ln_bias, requires_grad=True)
-        else:
-            self.ln_gain = None
-            self.ln_bias = None
+        self.b = Tensor(np.zeros(4 * h), requires_grad=True)
+        ln_bias = np.zeros(4 * h)
+        ln_bias[h: 2 * h] = 1.0
+        self.ln_gain = Tensor(np.ones(4 * h), requires_grad=True)
+        self.ln_bias = Tensor(ln_bias, requires_grad=True)
 
     def named(self, prefix: str):
         yield f"{prefix}.Wx", self.Wx
         yield f"{prefix}.Wh", self.Wh
         yield f"{prefix}.b", self.b
-        if self.ln_gain is not None:
-            yield f"{prefix}.ln_gain", self.ln_gain
-            yield f"{prefix}.ln_bias", self.ln_bias
+        yield f"{prefix}.ln_gain", self.ln_gain
+        yield f"{prefix}.ln_bias", self.ln_bias
 
     def step(self, x: Tensor, h: Tensor, c: Tensor,
              keep: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
@@ -98,7 +89,7 @@ class DecoderParams:
 
     def __init__(self, rng, config: ModelConfig, E: Tensor, d_ann: int):
         d_emb, d_hidden = config.d_emb, config.d_hidden
-        self.cell = LstmCellParams(rng, d_emb + d_ann, d_hidden, config.layer_norm)
+        self.cell = LstmCellParams(rng, d_emb + d_ann, d_hidden)
         self.att = AttentionParams(rng, d_ann, d_hidden, config.d_attention)
         self.w_init_h = Tensor(_weight(rng, d_ann, d_hidden), requires_grad=True)
         self.b_init_h = Tensor(np.zeros(d_hidden), requires_grad=True)
@@ -129,8 +120,8 @@ class ModelParams:
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
         self.config = config
         self.E = Tensor(_weight(rng, config.vocab_size, config.d_emb), requires_grad=True)
-        self.enc_fwd = LstmCellParams(rng, config.d_emb, config.d_hidden, config.layer_norm)
-        self.enc_bwd = LstmCellParams(rng, config.d_emb, config.d_hidden, config.layer_norm)
+        self.enc_fwd = LstmCellParams(rng, config.d_emb, config.d_hidden)
+        self.enc_bwd = LstmCellParams(rng, config.d_emb, config.d_hidden)
         self.dec = DecoderParams(rng, config, self.E, 2 * config.d_hidden)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:

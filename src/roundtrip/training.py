@@ -249,7 +249,7 @@ class LrScheduler:
         self.should_stop = d["should_stop"]
 
 
-def _append_rows(path: str, header, rows) -> None:
+def append_rows(path: str, header, rows) -> None:
     """Append CSV rows, the header first when the file is new."""
     new = not os.path.exists(path)
     with open(path, "a", newline="", encoding="utf-8") as fh:
@@ -400,7 +400,7 @@ class Trainer:
             bleu = evaluation.evaluate_bleu(self.params, self.vocab, pairs,
                                             evaluation.DecodeConfig())
             rows.append([name, self.cfg.seed, self.update, f"{bleu:.4f}"])
-        _append_rows(self.bleu_path, ["direction", "seed", "update", "bleu"], rows)
+        append_rows(self.bleu_path, ["direction", "seed", "update", "bleu"], rows)
 
     # -- persistence ----------------------------------------------------------
 
@@ -481,9 +481,15 @@ class Trainer:
             on_checkpoint=None) -> TrainResult:
         """Train on from the current update, with a checkpoint every
         `checkpoint_interval` updates and at the cap (`max_updates`, else the
-        config's; 0 = none), up to the first at the cap or where the schedule stops."""
+        config's; 0 = none), up to the first at the cap or where the schedule stops.
+        A trainer already there is refused before it touches its logs."""
         cfg = self.cfg
         cap = max_updates if max_updates is not None else cfg.max_updates
+        if cap and self.update >= cap:
+            raise ValueError(f"the trainer is at update {self.update}, at or past "
+                             f"its cap of {cap} updates")
+        if self.scheduler.should_stop:
+            raise ValueError(f"the trainer's schedule stopped at update {self.update}")
         self._keep_logs_until_update()
         checkpoints: list[str] = []
         metrics: list[dict] = []
@@ -518,8 +524,8 @@ class Trainer:
                    "checkpoint": self.n_checkpoints, "lr": lr_in_effect,
                    "train_ppl": float(np.exp(l_t_mean)), "dev_ppl": dev_ppl,
                    "l_t": l_t_mean, "l_r": l_r_mean, "seed": cfg.seed}
-            _append_rows(self.metrics_path, METRICS_COLUMNS,
-                         [[row[c] for c in METRICS_COLUMNS]])
+            append_rows(self.metrics_path, METRICS_COLUMNS,
+                        [[row[c] for c in METRICS_COLUMNS]])
             if cfg.eval_bleu:
                 self._log_dev_bleu()
             checkpoints.append(path)

@@ -115,12 +115,11 @@ def primitive_checks(seed: int = 0) -> list[ComponentReport]:
         return ad.reduce_sum(ad.dropout(x, 0.4, r))
 
     check("dropout", dropped, Tensor(rng.standard_normal(10), requires_grad=True))
-    reports.extend(lstm_cell_checks(rng, layer_norm=True))
-    reports.extend(lstm_cell_checks(rng, layer_norm=False))
+    reports.extend(lstm_cell_checks(rng))
     return reports
 
 
-def lstm_cell_checks(rng: np.random.Generator, layer_norm: bool) -> list[ComponentReport]:
+def lstm_cell_checks(rng: np.random.Generator) -> list[ComponentReport]:
     """The fused cell over each of its inputs, with a `keep` column that
     carries one row's state through. Both outputs feed the loss, which uses
     no other nonlinearity, so the check depends on the cell alone."""
@@ -130,9 +129,8 @@ def lstm_cell_checks(rng: np.random.Generator, layer_norm: bool) -> list[Compone
         return Tensor(rng.standard_normal(shape), requires_grad=True)
 
     inputs = {"x": param(B, d_in), "h": param(B, n), "c": param(B, n),
-              "Wx": param(d_in, 4 * n), "Wh": param(n, 4 * n), "b": param(4 * n)}
-    if layer_norm:
-        inputs["gain"], inputs["bias"] = param(4 * n), param(4 * n)
+              "Wx": param(d_in, 4 * n), "Wh": param(n, 4 * n), "b": param(4 * n),
+              "gain": param(4 * n), "bias": param(4 * n)}
     keep = np.array([[1.0], [0.0], [1.0]])
     w_h = ad.constant(rng.standard_normal((B, n)))
     w_c = ad.constant(rng.standard_normal((B, n)))
@@ -141,14 +139,12 @@ def lstm_cell_checks(rng: np.random.Generator, layer_norm: bool) -> list[Compone
         h, c = ad.lstm_cell(*inputs.values(), keep=keep)
         return ad.add(ad.reduce_sum(ad.mul(h, w_h)), ad.reduce_sum(ad.mul(c, w_c)))
 
-    prefix = "lstm_cell_ln" if layer_norm else "lstm_cell"
-    return [ComponentReport(f"{prefix}.{name}", grad_check(lambda _t: loss(), t))
+    return [ComponentReport(f"lstm_cell.{name}", grad_check(lambda _t: loss(), t))
             for name, t in inputs.items()]
 
 
 def tiny_model(seed: int = 0, vocab: int = 9, d: int = 4) -> ModelParams:
-    config = ModelConfig(vocab_size=vocab, d_emb=d, d_hidden=d, d_attention=d,
-                         dropout=0.0, layer_norm=True)
+    config = ModelConfig(vocab_size=vocab, d_emb=d, d_hidden=d, d_attention=d, dropout=0.0)
     return ModelParams(config, np.random.default_rng([seed, 77]))
 
 

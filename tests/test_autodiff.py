@@ -143,11 +143,10 @@ class TestStableSoftmax:
         np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-9)
 
 
-def _cell_inputs(rng, B=3, d_in=5, n=4, layer_norm=True):
+def _cell_inputs(rng, B=3, d_in=5, n=4):
     """Random inputs of one cell step, as requires-grad tensors in call order."""
-    shapes = [(B, d_in), (B, n), (B, n), (d_in, 4 * n), (n, 4 * n), (4 * n,)]
-    if layer_norm:
-        shapes += [(4 * n,), (4 * n,)]
+    shapes = [(B, d_in), (B, n), (B, n), (d_in, 4 * n), (n, 4 * n), (4 * n,),
+              (4 * n,), (4 * n,)]
     return [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
 
 
@@ -167,14 +166,12 @@ def _op_by_op_cell(x, h, c, Wx, Wh, b, gain, bias, keep, g_h_out, g_c_out, g_h_l
         return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
     pre0 = x @ Wx + h @ Wh + b
-    pre = pre0
-    if gain is not None:
-        mu = pre0.sum(axis=-1, keepdims=True) / width
-        centered = pre0 - mu
-        var = (centered * centered).sum(axis=-1, keepdims=True) / width
-        inv_std = 1.0 / np.sqrt(var + 1e-6)
-        xhat = centered * inv_std
-        pre = xhat * gain + bias
+    mu = pre0.sum(axis=-1, keepdims=True) / width
+    centered = pre0 - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) / width
+    inv_std = 1.0 / np.sqrt(var + 1e-6)
+    xhat = centered * inv_std
+    pre = xhat * gain + bias
     sl = [pre[:, k * n: (k + 1) * n] for k in range(4)]
     i, f, g, o = sigmoid(sl[0]), sigmoid(sl[1]), np.tanh(sl[2]), sigmoid(sl[3])
     c_new = f * c + i * g
@@ -203,14 +200,11 @@ def _op_by_op_cell(x, h, c, Wx, Wh, b, gain, bias, keep, g_h_out, g_c_out, g_h_l
         full = np.zeros_like(pre)
         full[:, k * n: (k + 1) * n] = gate_grads[k]
         g_pre = full if g_pre is None else g_pre + full
-    grads = {}
-    if gain is not None:
-        grads["gain"] = (g_pre * xhat).sum(axis=0)
-        grads["bias"] = g_pre.sum(axis=0)
-        gx_hat = g_pre * gain
-        m1 = gx_hat.sum(axis=-1, keepdims=True) / width
-        m2 = (gx_hat * xhat).sum(axis=-1, keepdims=True) / width
-        g_pre = inv_std * (gx_hat - m1 - xhat * m2)
+    grads = {"gain": (g_pre * xhat).sum(axis=0), "bias": g_pre.sum(axis=0)}
+    gx_hat = g_pre * gain
+    m1 = gx_hat.sum(axis=-1, keepdims=True) / width
+    m2 = (gx_hat * xhat).sum(axis=-1, keepdims=True) / width
+    g_pre = inv_std * (gx_hat - m1 - xhat * m2)
     grads["b"] = g_pre.sum(axis=0)
     grads["Wh"], grads["h"] = h.T @ g_pre, grad_h + g_pre @ Wh.T
     grads["Wx"], grads["x"] = x.T @ g_pre, g_pre @ Wx.T
@@ -220,31 +214,26 @@ def _op_by_op_cell(x, h, c, Wx, Wh, b, gain, bias, keep, g_h_out, g_c_out, g_h_l
 
 def _saturate(inputs, n=4):
     """Make, in place, three columns of every gate's pre-activation exactly 0, ±150 and
-    -1e4 (whose exp underflows): those columns of Wx and Wh are zeroed, and
-    the values are put in b, or, under layer norm, in its bias with the gain
-    there 0."""
+    -1e4 (whose exp underflows): those columns of Wx and Wh and of the layer
+    norm's gain are zeroed, and the values are put in the layer norm's bias."""
     cols = np.arange(4)[:, None] * n + np.arange(3)
     values = np.array([[0.0, 150.0, -1e4], [0.0, -150.0, -1e4]] * 2)
     inputs[3].data[:, cols] = 0.0
     inputs[4].data[:, cols] = 0.0
-    if len(inputs) == 8:
-        inputs[6].data[cols] = 0.0
-        inputs[7].data[cols] = values
-    else:
-        inputs[5].data[cols] = values
+    inputs[6].data[cols] = 0.0
+    inputs[7].data[cols] = values
 
 
 class TestLstmCell:
     @pytest.mark.parametrize("precision", ["fp32", "fp64"])
-    @pytest.mark.parametrize("layer_norm", [True, False])
     @pytest.mark.parametrize("keep", [None, [[1.0], [0.0], [1.0]]])
-    def test_matches_op_by_op_graph_bit_for_bit(self, precision, layer_norm, keep):
+    def test_matches_op_by_op_graph_bit_for_bit(self, precision, keep):
         keep = None if keep is None else np.array(keep)
         names = ["x", "h", "c", "Wx", "Wh", "b", "gain", "bias"]
         for saturated in (False, True):
             with ad.using_dtype(precision):
                 rng = np.random.default_rng(13)
-                inputs = _cell_inputs(rng, layer_norm=layer_norm)
+                inputs = _cell_inputs(rng)
                 if saturated:
                     _saturate(inputs)
                 w_h, w_c, w_later = (ad.constant(rng.standard_normal((3, 4)))
@@ -255,9 +244,8 @@ class TestLstmCell:
                                          ad.reduce_sum(ad.mul(c_out, w_c))),
                                   ad.reduce_sum(ad.mul(inputs[1], w_later)))
                 backward(tape, loss)
-                data = [t.data for t in inputs] + [None] * (8 - len(inputs))
                 ref_h, ref_c, ref_grads = _op_by_op_cell(
-                    *data, None if keep is None else keep.astype(inputs[0].data.dtype),
+                    *(t.data for t in inputs), None if keep is None else keep.astype(inputs[0].data.dtype),
                     w_h.data, w_c.data, w_later.data)
             for got, want in [(h_out.data, ref_h), (c_out.data, ref_c)] + [
                     (t.grad, ref_grads[name]) for name, t in zip(names, inputs)]:

@@ -509,6 +509,26 @@ class TestScore:
                        "--csv-out", str(out_csv)) == 0
         assert "delta_mean" in out_csv.read_text()
 
+    def test_report_csv_out_appends(self, tmp_path):
+        # two reports into one file: one header, then both tables' rows
+        dirs = []
+        for name, scores in (("base", (30.0, 31.0)), ("treat", (30.5, 31.5)),
+                             ("other", (29.0, 30.0))):
+            d = tmp_path / name
+            d.mkdir()
+            (d / "bleu.csv").write_text("direction,seed,bleu\nl1-l2,1,{}\nl1-l2,2,{}\n"
+                                        .format(*scores))
+            dirs.append(str(d))
+        out_csv = tmp_path / "delta.csv"
+        for treat in dirs[1:]:
+            assert run_cli("score", "--report", dirs[0], treat,
+                           "--csv-out", str(out_csv)) == 0
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["direction"], r["delta_mean"]) for r in rows] == \
+            [("l1-l2", "0.5"), ("l1-l2", "-1.0")]
+        assert out_csv.read_text().count("delta_mean") == 1
+
 
 @pytest.fixture(scope="class")
 def gradcheck_seed0():
@@ -548,7 +568,7 @@ class TestGradcheckCommand:
             step = verification.decode_step_check(0)
         assert not reports["tanh"].ok and not step.ok
         cell = [r for name, r in reports.items() if name.startswith("lstm_cell")]
-        assert len(cell) == 14 and all(r.ok for r in cell)
+        assert len(cell) == 8 and all(r.ok for r in cell)
 
     def test_repeated_runs_identical_report(self, gradcheck_seed0, capsys):
         run_cli("gradcheck", "--seed", "0")
@@ -557,7 +577,7 @@ class TestGradcheckCommand:
 
 class TestConfig:
     def test_roundtrip_identity(self):
-        cfg = RunConfig(d_emb=32, beta=0.5, recon_mode="hidden", layer_norm=False,
+        cfg = RunConfig(d_emb=32, beta=0.5, recon_mode="hidden", recon_dropout=False,
                         train_src="/data/x")
         assert parse_config(serialize_config(cfg)) == cfg
 
@@ -569,7 +589,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config("batch_size=lots\n")
         with pytest.raises(ValueError):
-            parse_config("layer_norm=maybe\n")
+            parse_config("eval_bleu=maybe\n")
+
+    def test_retired_layer_norm_true_is_ignored(self):
+        # config.txt files written while the cell's layer norm was optional
+        assert parse_config("layer_norm=true\n") == RunConfig()
+        assert "layer_norm" not in serialize_config(RunConfig())
+
+    def test_retired_layer_norm_false_is_refused(self):
+        with pytest.raises(ValueError, match="line 2: layer_norm may only be true, got "
+                                             "'false'; the unnormalized LSTM cell is gone"):
+            parse_config("d_emb=8\nlayer_norm=false\n")
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# a comment\n\nbatch_size=12\n")

@@ -21,9 +21,9 @@ from roundtrip.training import Adam, translation_loss
 from conftest import attention_chain
 
 
-def tiny_params(vocab_size=9, d=6, seed=0, dropout=0.0, layer_norm=True):
+def tiny_params(vocab_size=9, d=6, seed=0, dropout=0.0):
     cfg = ModelConfig(vocab_size=vocab_size, d_emb=d, d_hidden=d, d_attention=d,
-                      dropout=dropout, layer_norm=layer_norm)
+                      dropout=dropout)
     return ModelParams(cfg, np.random.default_rng(seed))
 
 
@@ -366,19 +366,51 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="float32.*float64"):
             ckpt_io.save(str(tmp_path / "ckpt.npz"), params, self._vocab())
 
+    def _edit_header(self, path, edit):
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        header = json.loads(str(arrays["__header__"]))
+        edit(header)
+        arrays["__header__"] = np.array(json.dumps(header))
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+
     def test_config_hash_of_an_older_checkpoint_is_ignored(self, tmp_path, fp64):
         params = tiny_params()
         path = str(tmp_path / "ckpt.npz")
         ckpt_io.save(path, params, self._vocab())
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        header = json.loads(str(arrays["__header__"]))
-        header["config_hash"] = "0123456789abcdef"
-        arrays["__header__"] = np.array(json.dumps(header))
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
+        self._edit_header(path, lambda h: h.update(config_hash="0123456789abcdef"))
         loaded, _, _ = ckpt_io.load(path, params.config)
         assert np.array_equal(loaded.E.data, params.E.data)
+
+    def test_save_writes_no_layer_norm_key(self, tmp_path, fp64):
+        path = str(tmp_path / "ckpt.npz")
+        ckpt_io.save(path, tiny_params(), self._vocab())
+        with np.load(path) as data:
+            assert "layer_norm" not in json.loads(str(data["__header__"]))["config"]
+
+    def test_older_header_with_layer_norm_true_loads(self, tmp_path, fp64):
+        # checkpoints written while the cell's layer norm was optional name it
+        params = tiny_params(seed=4)
+        path = str(tmp_path / "ckpt.npz")
+        ckpt_io.save(path, params, self._vocab())
+        self._edit_header(path, lambda h: h["config"].update(layer_norm=True))
+        for config in (None, params.config):
+            loaded, _, header = ckpt_io.load(path, config)
+            assert loaded.config == params.config and "layer_norm" not in header["config"]
+            for (n1, t1), (n2, t2) in zip(params.named_parameters(),
+                                          loaded.named_parameters(), strict=True):
+                assert n1 == n2 and t1.data.tobytes() == t2.data.tobytes()
+
+    def test_older_header_with_layer_norm_false_is_refused(self, tmp_path, fp64):
+        params = tiny_params()
+        path = str(tmp_path / "ckpt.npz")
+        ckpt_io.save(path, params, self._vocab())
+        self._edit_header(path, lambda h: h["config"].update(layer_norm=False))
+        for config in (None, params.config):
+            with pytest.raises(ValueError, match="layer_norm may only be true, got False; "
+                                                 "the unnormalized LSTM cell is gone"):
+                ckpt_io.load(path, config)
 
 
 def test_translation_loss_reductions(fp64):

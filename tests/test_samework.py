@@ -45,6 +45,15 @@ def test_text_outputs_compare_number_by_number():
     assert samework._compare_text("a\nb,1\n", "a\nc,1\n") == "text differs from line 2"
 
 
+def test_json_headers_compare_key_by_key():
+    this = '{"version": 1, "config": {"d_emb": 8}, "meta": {"update": 4}}'
+    other = '{"version": 1, "config": {"d_emb": 8, "layer_norm": true}, "meta": {"update": 5}}'
+    assert samework._compare_text(this, other) == \
+        "keys differ: config.layer_norm (other tree only), meta.update"
+    assert samework._compare_text(other, this) == \
+        "keys differ: config.layer_norm (this tree only), meta.update"
+
+
 @pytest.mark.skipif(not os.path.isdir(os.path.join(REPO, ".git")),
                     reason="needs the repository's git history")
 def test_a_revision_unpacks_with_git_archive(tmp_path):

@@ -540,6 +540,38 @@ class TestTrainerLoop:
         assert {path: open(path, "rb").read() for path in uncut} == uncut
         assert not [f for f in os.listdir(resumed.out_dir) if f.endswith(".tmp")]
 
+    def _files(self, out_dir):
+        return {name: open(os.path.join(out_dir, name), "rb").read()
+                for name in sorted(os.listdir(out_dir))}
+
+    def test_run_at_its_cap_is_refused(self, tmp_path):
+        kwargs = dict(batch_size=16, checkpoint_interval=4, max_updates=4)
+        first, _, _ = self._make(tmp_path, **kwargs)
+        ckpt_4 = first.run().final_checkpoint
+        restored, _, _ = self._make(tmp_path, **kwargs)
+        restored.restore(ckpt_4)
+        before = self._files(restored.out_dir)
+        assert "metrics.csv" in before
+        with pytest.raises(ValueError, match="at update 4, at or past its cap of 4"):
+            restored.run()
+        assert restored.update == 4
+        assert self._files(restored.out_dir) == before
+
+    def test_run_of_a_stopped_schedule_is_refused(self, tmp_path):
+        # at lr 0 the second checkpoint cannot improve, and one stale one stops
+        kwargs = dict(batch_size=16, checkpoint_interval=4, max_updates=0, lr=0.0,
+                      patience_stop=1)
+        first, _, _ = self._make(tmp_path, **kwargs)
+        result = first.run()
+        assert result.stopped_early and first.update == 8
+        restored, _, _ = self._make(tmp_path, **kwargs)
+        restored.restore(result.final_checkpoint)
+        before = self._files(restored.out_dir)
+        with pytest.raises(ValueError, match="schedule stopped at update 8"):
+            restored.run()
+        assert restored.update == 8
+        assert self._files(restored.out_dir) == before
+
     def test_finetune_starts_at_finetune_lr(self, tmp_path):
         trainer, data, vocab = self._make(tmp_path, max_updates=10)
         result = trainer.run()

@@ -19,13 +19,16 @@ For every file written (logs, hypotheses, step outputs) and every `param/*`
 and `state/*` array of every checkpoint, the check prints `identical`, or
 else the largest absolute difference and the largest relative one. Two logs
 compare number by number, relative to the larger magnitude of each pair;
-two arrays compare relative to the larger of their largest magnitudes. The
-exit status is 0 only when everything is identical.
+two arrays compare relative to the larger of their largest magnitudes. Two
+checkpoint headers, JSON objects, name the dotted keys whose values differ or
+that one tree alone holds. The exit status is 0 only when everything is
+identical.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import re
 import subprocess
@@ -135,11 +138,41 @@ def _diff_numbers(a: np.ndarray, b: np.ndarray, per_element: bool) -> str:
     return f"max abs {diff.max():.3e}, max rel {rel.max():.3e}"
 
 
+def _json_keys(a, b, prefix: str = "") -> list[str]:
+    """The dotted keys of two JSON trees whose values differ or that one tree
+    alone holds; `a` is this tree's."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return [] if json.dumps(a) == json.dumps(b) else [prefix]
+    out = []
+    for key in sorted(set(a) | set(b)):
+        name = f"{prefix}.{key}" if prefix else key
+        if key not in b:
+            out.append(f"{name} (this tree only)")
+        elif key not in a:
+            out.append(f"{name} (other tree only)")
+        else:
+            out.extend(_json_keys(a[key], b[key], name))
+    return out
+
+
+def _json_object(text: str) -> dict | None:
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return None
+    return value if isinstance(value, dict) else None
+
+
 def _compare_text(a: str, b: str) -> str:
-    """`identical`, or the numeric difference of two texts that differ only in
-    their numbers, or the first line at which the words differ."""
+    """`identical`; or, for two JSON objects (a checkpoint's header), the keys
+    whose values differ; or the numeric difference of two texts that differ
+    only in their numbers; or the first line at which the words differ."""
     if a == b:
         return "identical"
+    ja, jb = _json_object(a), _json_object(b)
+    keys = _json_keys(ja, jb) if ja is not None and jb is not None else []
+    if keys:
+        return "keys differ: " + ", ".join(keys)
     if _NUMBER.split(a) == _NUMBER.split(b):
         na = np.array([float(x) for x in _NUMBER.findall(a)])
         nb = np.array([float(x) for x in _NUMBER.findall(b)])
