@@ -115,9 +115,8 @@ def _search(params: ModelParams, src_ids: np.ndarray, src_mask: np.ndarray,
         state = DecoderState(_rows(state.h, parent), _rows(state.cell, parent))
         if not np.array_equal(owner[keep], sent):
             sent = owner[keep]
-            memory = Memory(_rows(memory.annotations, parent),
-                            _rows(memory.ann_keys, parent), memory.mask[parent],
-                            _rows(memory.summary, parent))
+            memory = Memory(_rows(memory.annotations, parent), memory.mask[parent],
+                            _rows(memory.summary, parent), _rows(memory.ann_keys, parent))
 
     out = []
     for pool in pools:

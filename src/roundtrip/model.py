@@ -140,13 +140,10 @@ class EncoderOutput:
 
 
 @dataclass
-class Memory:
+class Memory(EncoderOutput):
     """Encoder output plus the precomputed attention keys for one decoder."""
 
-    annotations: Tensor
     ann_keys: Tensor              # (B, S, d_att)
-    mask: np.ndarray
-    summary: Tensor
 
 
 @dataclass
@@ -194,7 +191,7 @@ def encode(params: ModelParams, src_ids: np.ndarray | None, src_mask: np.ndarray
 
 def prepare_memory(dec: DecoderParams, enc: EncoderOutput) -> Memory:
     keys = ad.affine(enc.annotations, dec.att.w_ann, dec.att.bias)
-    return Memory(enc.annotations, keys, enc.mask, enc.summary)
+    return Memory(enc.annotations, enc.mask, enc.summary, keys)
 
 
 def init_decoder_state(dec: DecoderParams, memory: Memory) -> DecoderState:

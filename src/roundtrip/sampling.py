@@ -15,15 +15,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import (ModelParams, decode_step, encode, init_decoder_state,
-                    length_caps, prepare_memory)
+from .model import ModelParams, Memory, decode_step, init_decoder_state, length_caps
 
 UNIFORM_CLAMP = 1e-12
 
 
 @dataclass
 class GumbelNoiseSource:
-    """Scaled Gumbel(0, beta) noise; beta=0 is exactly zero (greedy path)."""
+    """Scaled Gumbel(0, beta) noise; at beta=0 it draws none (greedy path)."""
 
     beta: float
     rng_seed: int | tuple = 0
@@ -35,8 +34,8 @@ class GumbelNoiseSource:
         seed = self.rng_seed if isinstance(self.rng_seed, (list, tuple)) else [self.rng_seed]
         self.rng = np.random.default_rng(list(seed))
 
-    def draw(self, shape) -> np.ndarray:
-        return sample_gumbel(shape, self.beta, self.rng)
+    def draw(self, shape) -> np.ndarray | None:
+        return None if self.beta == 0.0 else sample_gumbel(shape, self.beta, self.rng)
 
 
 @dataclass
@@ -64,24 +63,25 @@ def sample_gumbel(shape, beta: float, rng: np.random.Generator) -> np.ndarray:
     return -beta * np.log(-np.log(u))
 
 
-def _perturbed(logits: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """logits + noise, for finite logits of the noise's shape."""
-    if logits.shape != noise.shape:
+def _perturbed(logits: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
+    """logits + noise, for finite logits of the noise's shape; with no noise
+    the logits themselves."""
+    if noise is not None and logits.shape != noise.shape:
         raise ValueError("logits and noise shapes must match")
     if not np.all(np.isfinite(logits)):
         raise ValueError("gumbel_max_step on non-finite logits")
-    return logits + noise
+    return logits if noise is None else logits + noise
 
 
-def gumbel_max_step(logits: np.ndarray, noise: np.ndarray) -> np.ndarray:
+def gumbel_max_step(logits: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
     """Ids of argmax(logits + noise) over the last axis; ties go to the lowest id."""
     return _perturbed(logits, noise).argmax(axis=-1)
 
 
-def stgs_embed(out: Tensor, E: Tensor, noise: np.ndarray, tau: float,
+def stgs_embed(out: Tensor, E: Tensor, noise: np.ndarray | None, tau: float,
                soft_forward: bool = False) -> tuple[Tensor, np.ndarray]:
     """Straight-through embedding of one token per row, sampled from the
-    tied readout's logits out @ E.T.
+    tied readout's logits out @ E.T, perturbed by `noise` unless it is None.
 
     Returns (embedding, ids). The forward value is the sampled token's row of
     E; the logits' gradient is exactly that of softmax((logits+noise)/tau) @ E,
@@ -135,23 +135,22 @@ class SampledSequence:
         return self.ids[row, :self.lengths[row]].tolist()
 
 
-def sample_translation(params: ModelParams, src_ids: np.ndarray, src_mask: np.ndarray,
+def sample_translation(params: ModelParams, memory: Memory,
                        noise: GumbelNoiseSource, cfg: STGSConfig, bos_id: int,
                        eos_id: int, train: bool = False,
                        rng: np.random.Generator | None = None,
                        soft_forward: bool = False,
                        stop_on_eos: bool = True) -> SampledSequence:
-    """Decode by feeding back the model's own straight-through samples.
+    """Decode from the source's `memory` (`prepare_memory` of `params.dec`)
+    by feeding back the model's own straight-through samples.
 
     Step 0 consumes BOS; a trained model then emits the target language tag.
     Each sentence stops at its first EOS or at its `length_caps` cap.
     """
-    B = src_ids.shape[0]
-    enc = encode(params, src_ids, src_mask, train=train, rng=rng)
-    memory = prepare_memory(params.dec, enc)
+    B = memory.mask.shape[0]
     state = init_decoder_state(params.dec, memory)
 
-    caps = length_caps(src_mask, cfg.max_len_factor, cfg.max_len_offset)
+    caps = length_caps(memory.mask, cfg.max_len_factor, cfg.max_len_offset)
 
     done = np.zeros(B, dtype=bool)
     truncated = np.zeros(B, dtype=bool)

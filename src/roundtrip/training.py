@@ -23,7 +23,7 @@ from .autodiff import Tape, Tensor
 from .config import RunConfig
 from .data import (Batch, LazyBatches, ParallelPair, Vocab, build_bidirectional_corpus,
                    make_batches)
-from .model import (DecoderParams, EncoderOutput, ModelParams, _xavier, encode,
+from .model import (DecoderParams, EncoderOutput, Memory, ModelParams, _xavier, encode,
                     prepare_memory, sequence_nll)
 from .sampling import GumbelNoiseSource, STGSConfig, sample_translation
 
@@ -49,7 +49,8 @@ class PhaseError(RuntimeError):
 def translation_loss(params: ModelParams, batch: Batch, bos_id: int,
                      train: bool = False, rng: np.random.Generator | None = None):
     """Teacher-forced NLL over the batch; returns (loss, sum_nats, n_tokens,
-    enc, states); `loss` is the NLL per target token."""
+    memory, states); `loss` is the NLL per target token and `memory` the
+    source's encoding as the decoder reads it."""
     if batch.size == 0:
         raise ValueError("empty batch")
     enc = encode(params, batch.src_ids, batch.src_mask, train=train, rng=rng)
@@ -58,22 +59,28 @@ def translation_loss(params: ModelParams, batch: Batch, bos_id: int,
         params.dec, memory, batch.tgt_ids, batch.tgt_mask, bos_id,
         train=train, rng=rng)
     loss = ad.scalar_mul(loss_sum, 1.0 / n_tokens)
-    return loss, float(loss_sum.data), n_tokens, enc, states
+    return loss, float(loss_sum.data), n_tokens, memory, states
 
 
 def reconstruction_loss(params: ModelParams, batch: Batch, noise: GumbelNoiseSource,
                         stgs: STGSConfig, bos_id: int, eos_id: int, phase: str,
                         train: bool = False, rng: np.random.Generator | None = None,
-                        soft_forward: bool = False, stop_on_eos: bool = True):
+                        soft_forward: bool = False, stop_on_eos: bool = True,
+                        memory: Memory | None = None):
     """Round-trip term: sample a translation of each source, then score the
     original source as the target of a teacher-forced pass over the sample;
-    the loss is the NLL per source token."""
+    the loss is the NLL per source token. The sampler decodes from `memory`,
+    the source's encoding that `translation_loss` returns, and with none
+    given it encodes the source itself."""
     if phase != "finetune":
         raise PhaseError("reconstruction requires a pre-trained model "
                          "(fine-tune phase); got phase=" + phase)
-    sampled = sample_translation(params, batch.src_ids, batch.src_mask, noise,
-                                 stgs, bos_id, eos_id, train=train, rng=rng,
-                                 soft_forward=soft_forward, stop_on_eos=stop_on_eos)
+    if memory is None:
+        memory = prepare_memory(params.dec, encode(params, batch.src_ids, batch.src_mask,
+                                                   train=train, rng=rng))
+    sampled = sample_translation(params, memory, noise, stgs, bos_id, eos_id,
+                                 train=train, rng=rng, soft_forward=soft_forward,
+                                 stop_on_eos=stop_on_eos)
     enc = encode(params, None, sampled.mask, src_embs=sampled.steps,
                  train=train, rng=rng)
     memory = prepare_memory(params.dec, enc)
@@ -120,10 +127,10 @@ def hidden_reconstruction_loss(params: ModelParams, batch: Batch,
     """
     if aux.dec_enc.d_ann != 2 * params.config.d_hidden:
         raise ValueError("encoder-side reconstructor width mismatch")
-    t_loss, t_sum, t_tokens, enc, dec_states = translation_loss(
+    t_loss, t_sum, t_tokens, memory, dec_states = translation_loss(
         params, batch, bos_id, train=train, rng=rng)
 
-    mem_enc = prepare_memory(aux.dec_enc, enc)
+    mem_enc = prepare_memory(aux.dec_enc, memory)
     enc_sum_t, enc_tokens, _ = sequence_nll(
         aux.dec_enc, mem_enc, batch.src_ids, batch.src_mask, bos_id, train=train,
         rng=rng)
@@ -250,11 +257,18 @@ class LrScheduler:
 
 
 def append_rows(path: str, header, rows) -> None:
-    """Append CSV rows, the header first when the file is new."""
-    new = not os.path.exists(path)
+    """Append CSV rows, the header first when the file is new or empty. A file
+    that holds another header is refused and left as it is."""
+    header, found = list(header), None
+    if os.path.exists(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            found = next(csv.reader(fh), None)
+        if found is not None and found != header:
+            raise ValueError(f"{path} has the header {','.join(found)}; rows of the "
+                             f"header {','.join(header)} are not appended to it")
     with open(path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if new:
+        if found is None:
             writer.writerow(header)
         writer.writerows(rows)
 
@@ -364,17 +378,20 @@ class Trainer:
                 self.params, batch, self.aux, bos, w_enc=cfg.hidden_weight_enc,
                 w_dec=cfg.hidden_weight_dec, train=train, rng=drop_rng)
         else:
-            l_t, t_sum, t_tokens, _, _ = translation_loss(
+            l_t, t_sum, t_tokens, memory, _ = translation_loss(
                 self.params, batch, bos, train=train, rng=drop_rng)
             if cfg.recon_mode == "none":  # the only mode of the pretrain phase
                 breakdown = LossBreakdown(float(l_t.data), 0.0, float(l_t.data) + 0.0)
                 return l_t, breakdown, (t_sum, t_tokens, 0.0, 0.0)
             noise = GumbelNoiseSource(cfg.beta, (cfg.seed, _STREAM_GUMBEL, update))
             stgs = STGSConfig(cfg.tau, cfg.max_len_factor, cfg.max_len_offset)
+            # the sampler reads the translation pass's encoding when the
+            # reconstruction runs at its dropout setting, else its own
             recon_train = train and cfg.recon_dropout
             l_r, r_sum, r_tokens, _ = reconstruction_loss(
                 self.params, batch, noise, stgs, bos, self.vocab.eos,
-                phase=self.phase, train=recon_train, rng=drop_rng)
+                phase=self.phase, train=recon_train, rng=drop_rng,
+                memory=memory if recon_train == train else None)
 
         combined = ad.add(l_t, l_r)
         # the breakdown decomposes exactly by construction; the objective

@@ -200,7 +200,9 @@ def stgs_soft_checks(seed: int = 0) -> list[ComponentReport]:
 
 
 def end_to_end_check(seed: int = 0) -> ComponentReport:
-    """Combined objective on a 2-sentence batch, sampler in soft-forward mode."""
+    """Combined objective on a 2-sentence batch, sampler in soft-forward mode,
+    built as training builds it: one encoding of the source feeds both the
+    translation pass and the sampler."""
     params = tiny_model(seed, vocab=9, d=4)
     # rows: [tag, w, w, eos]; two different lengths exercise masking
     src_ids = np.array([[4, 6, 7, 2], [5, 8, 2, 0]])
@@ -211,11 +213,11 @@ def end_to_end_check(seed: int = 0) -> ComponentReport:
     stgs = STGSConfig(tau=2.0, max_len_factor=1, max_len_offset=2)
 
     def build_loss() -> Tensor:
-        l_t, _, _, _, _ = translation_loss(params, batch, bos_id=1)
+        l_t, _, _, memory, _ = translation_loss(params, batch, bos_id=1)
         noise = GumbelNoiseSource(0.5, (seed, 21))
         l_r, _, _, _ = reconstruction_loss(
             params, batch, noise, stgs, bos_id=1, eos_id=2, phase="finetune",
-            soft_forward=True, stop_on_eos=False)
+            soft_forward=True, stop_on_eos=False, memory=memory)
         return ad.add(l_t, l_r)
 
     err = check_over_params(build_loss, params.named_parameters())

@@ -14,7 +14,8 @@ from roundtrip.data import (ParallelPair, TaggedSentence, Vocab,
 from roundtrip.evaluation import (DecodeConfig, beam_decode,
                                   corpus_bleu, decode_corpus, delta_bleu_report,
                                   greedy_decode, perplexity, tokenize_13a_approx)
-from roundtrip.model import ModelConfig, ModelParams, teacher_forced_nll
+from roundtrip.model import (ModelConfig, ModelParams, encode, prepare_memory,
+                             teacher_forced_nll)
 from roundtrip.sampling import GumbelNoiseSource, STGSConfig, sample_translation
 
 import reference_beam
@@ -97,8 +98,8 @@ class TestGreedyAndSampling:
                 row = [4] + list(toks) + [2]
                 src_ids[b, : len(row)] = row
                 src_mask[b, : len(row)] = 1.0
-            seq = sample_translation(params, src_ids, src_mask,
-                                     GumbelNoiseSource(0.0, 0),
+            memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
+            seq = sample_translation(params, memory, GumbelNoiseSource(0.0, 0),
                                      STGSConfig(tau=2.0), bos_id=1, eos_id=2)
             greedy = greedy_decode(params, src_ids, src_mask, bos_id=1, eos_id=2)
             for b in range(8):

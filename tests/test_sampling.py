@@ -6,7 +6,7 @@ import pytest
 from roundtrip import autodiff as ad
 from roundtrip.autodiff import Tape, Tensor, backward, grad_check
 from roundtrip.evaluation import greedy_decode
-from roundtrip.model import ModelConfig, ModelParams
+from roundtrip.model import ModelConfig, ModelParams, encode, prepare_memory
 from roundtrip.sampling import (GumbelNoiseSource, STGSConfig, gumbel_max_step,
                                 sample_gumbel, sample_translation, stgs_embed)
 
@@ -65,6 +65,13 @@ class TestSampleGumbel:
         assert out.dtype == np.float32
         assert np.all(np.isfinite(out))
         np.testing.assert_array_equal(out, -0.5 * np.log(-np.log(np.full(4, top))))
+
+    def test_source_at_beta_zero_draws_no_noise(self):
+        noise = GumbelNoiseSource(0.0, 4)
+        state = noise.rng.bit_generator.state
+        assert noise.draw((3, 5)) is None
+        assert noise.rng.bit_generator.state == state
+        assert GumbelNoiseSource(0.5, 4).draw((3, 5)).shape == (3, 5)
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
@@ -318,6 +325,24 @@ class TestStgsCombine:
             assert got.dtype == dtype
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("soft_forward", [False, True])
+    @pytest.mark.parametrize("precision", ["fp32", "fp64"])
+    def test_no_noise_is_zero_noise_byte_for_byte(self, precision, soft_forward):
+        dtype = DTYPES[precision]
+        out, noise, E, g = _embed_inputs(dtype, B=8, V=6, d=4, seed=6)
+        out *= 3
+        out[0] = 0.0  # a row of zero logits ties every id
+        with ad.using_dtype(precision):
+            got = _embed_grads(out, None, E, g, soft_forward=soft_forward)
+            want = _embed_grads(out, np.zeros_like(noise), E, g, soft_forward=soft_forward)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+    def test_no_noise_still_rejects_non_finite_logits(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            stgs_embed(Tensor(np.array([[np.nan, 0.0]])), Tensor(np.eye(2)), None, 2.0)
+
     @pytest.mark.parametrize("beta", [0.0, 1.5])
     def test_ids_are_the_gumbel_max_rule(self, fp64, beta):
         rng = np.random.default_rng(9)
@@ -339,12 +364,17 @@ def toy_source(params, n=2):
     return src_ids, src_mask
 
 
+def source_memory(params, src_ids, src_mask):
+    """The memory the sampler decodes from, encoded without dropout."""
+    return prepare_memory(params.dec, encode(params, src_ids, src_mask))
+
+
 class TestSampleTranslation:
     def test_beta_zero_equals_greedy(self, fp64):
         params = tiny_params(seed=9)
         src_ids, src_mask = toy_source(params)
         noise = GumbelNoiseSource(0.0, 123)
-        seq = sample_translation(params, src_ids, src_mask, noise,
+        seq = sample_translation(params, source_memory(params, src_ids, src_mask), noise,
                                  STGSConfig(tau=2.0), bos_id=1, eos_id=2)
         greedy = greedy_decode(params, src_ids, src_mask, bos_id=1, eos_id=2)
         for b in range(2):
@@ -356,7 +386,7 @@ class TestSampleTranslation:
             params = tiny_params(seed=1)
             src_ids, src_mask = toy_source(params)
             noise = GumbelNoiseSource(1.0, 5)
-            seq = sample_translation(params, src_ids, src_mask, noise,
+            seq = sample_translation(params, source_memory(params, src_ids, src_mask), noise,
                                      STGSConfig(tau=2.0), bos_id=1, eos_id=2)
         assert len(seq.steps) == seq.ids.shape[1] > 1
         for t, st in enumerate(seq.steps):
@@ -368,7 +398,7 @@ class TestSampleTranslation:
         # cap of 1 step per sentence; EOS cannot appear unless sampled first
         cfg = STGSConfig(tau=2.0, max_len_factor=0, max_len_offset=1)
         noise = GumbelNoiseSource(0.0, 0)
-        seq = sample_translation(params, src_ids, src_mask, noise, cfg,
+        seq = sample_translation(params, source_memory(params, src_ids, src_mask), noise, cfg,
                                  bos_id=1, eos_id=2)
         assert len(seq.steps) == 1
         assert np.all(seq.lengths == 1)
@@ -382,7 +412,7 @@ class TestSampleTranslation:
 
         def run():
             noise = GumbelNoiseSource(0.7, 99)
-            seq = sample_translation(params, src_ids, src_mask, noise,
+            seq = sample_translation(params, source_memory(params, src_ids, src_mask), noise,
                                      STGSConfig(tau=1.5), bos_id=1, eos_id=2)
             return [seq.token_ids(b) for b in range(2)]
 
@@ -394,7 +424,7 @@ class TestSampleTranslation:
         outs = []
         for s in range(8):
             noise = GumbelNoiseSource(2.0, s)
-            seq = sample_translation(params, src_ids, src_mask, noise,
+            seq = sample_translation(params, source_memory(params, src_ids, src_mask), noise,
                                      STGSConfig(tau=1.5), bos_id=1, eos_id=2)
             outs.append(tuple(tuple(seq.token_ids(b)) for b in range(2)))
         assert len(set(outs)) > 1

@@ -8,7 +8,7 @@ import pytest
 
 from roundtrip import autodiff as ad
 from roundtrip import checkpoint as ckpt_io
-from roundtrip import training
+from roundtrip import model, sampling, training
 from roundtrip.autodiff import Tape, Tensor
 from roundtrip.config import RunConfig
 from roundtrip.data import Batch, Vocab, make_batch
@@ -272,6 +272,63 @@ class TestObjectives:
             hidden_reconstruction_loss(params, toy_batch(), aux, bos_id=1)
 
 
+def _sampled_trainer(tmp_path, recon_dropout=True):
+    """A sampled fine-tune trainer from freshly drawn weights, with dropout
+    and Gumbel noise on."""
+    data, vocab = toy_task(size=40, dev_size=8, test_size=8)
+    cfg = RunConfig(d_emb=8, d_hidden=8, d_attention=8, batch_size=16, seed=1,
+                    recon_mode="sampled", dropout=0.2, beta=0.5,
+                    recon_dropout=recon_dropout, eval_bleu=False)
+    init = str(tmp_path / "init.npz")
+    ckpt_io.save(init, ModelParams(cfg.model_config(len(vocab)),
+                                   np.random.default_rng(5)), vocab)
+    trainer = Trainer(cfg, vocab, data["train"], data["dev"], "finetune",
+                      str(tmp_path / "run"), init_checkpoint=init)
+    return trainer, next(trainer._batch_stream())
+
+
+class TestSampledUpdate:
+    """A sampled update's sampler decodes from the translation pass's memory
+    when the reconstruction runs at that pass's dropout setting."""
+
+    @pytest.mark.parametrize("recon_dropout, encodes, memories",
+                             [(True, 2, 2), (False, 3, 3)])
+    def test_encodings_per_update(self, tmp_path, monkeypatch, recon_dropout,
+                                  encodes, memories):
+        trainer, batch = _sampled_trainer(tmp_path, recon_dropout)
+        calls = []
+
+        def count(name, original):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return counted
+
+        # every toolkit module that holds the functions calls them counted
+        for name in ("encode", "prepare_memory"):
+            original = getattr(model, name)
+            for module in (training, sampling):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, count(name, original))
+        with Tape():
+            trainer.compute_losses(batch, 0, train=True)
+        # the source once (twice without sharing), then the return pass
+        assert calls.count("encode") == encodes
+        assert calls.count("prepare_memory") == memories
+
+    def test_eval_l_r_is_reconstruction_loss_without_a_memory(self, tmp_path):
+        trainer, batch = _sampled_trainer(tmp_path)
+        cfg, update = trainer.cfg, 3
+        _, breakdown, sums = trainer.compute_losses(batch, update, train=False)
+        l_r, r_sum, r_tokens, _ = reconstruction_loss(
+            trainer.params, batch,
+            GumbelNoiseSource(cfg.beta, (cfg.seed, training._STREAM_GUMBEL, update)),
+            STGSConfig(cfg.tau, cfg.max_len_factor, cfg.max_len_offset),
+            trainer.vocab.bos, trainer.vocab.eos, phase="finetune")
+        assert np.float64(breakdown.l_r).tobytes() == np.float64(l_r.data).tobytes()
+        assert sums[2:] == (r_sum, r_tokens)
+
+
 def _ops(tape):
     """The op of each node, named by the function that recorded it."""
     return [fn.__qualname__.split(".")[0] for _, _, fn in tape.nodes]
@@ -279,8 +336,8 @@ def _ops(tape):
 
 def _forwards(V):
     """The E matrices, and (tape, teacher-forced steps, sampled steps,
-    decoder passes) of a pretrain, a sampled and a hidden forward at
-    vocabulary size V."""
+    memories, decoder passes) of a pretrain, a sampled and a hidden forward
+    at vocabulary size V, each as `Trainer.compute_losses` builds it."""
     params = tiny_params(vocab_size=V, d=4, seed=2)
     aux = HiddenReconstructorParams(params.config, np.random.default_rng(3))
     batch = toy_batch()
@@ -288,14 +345,17 @@ def _forwards(V):
     with Tape() as pretrain:
         translation_loss(params, batch, bos_id=1)
     with Tape() as sampled:
+        *_, memory, _ = translation_loss(params, batch, bos_id=1)
         *_, sample = reconstruction_loss(params, batch, GumbelNoiseSource(0.5, 3),
                                          STGSConfig(), bos_id=1, eos_id=2,
-                                         phase="finetune")
+                                         phase="finetune", memory=memory)
     with Tape() as hidden:
         hidden_reconstruction_loss(params, batch, aux, bos_id=1)
+    # the sampler decodes from the translation pass's memory: the return
+    # pass scores the source, as long as the target here
     return ((params.E, aux.dec_enc.E, aux.dec_dec.E),
-            [(pretrain, T, 0, 1), (sampled, T, sample.ids.shape[1], 2),
-             (hidden, 3 * T, 0, 3)])
+            [(pretrain, T, 0, 1, 1), (sampled, 2 * T, sample.ids.shape[1], 2, 3),
+             (hidden, 3 * T, 0, 3, 3)])
 
 
 class TestReadoutOnTheTape:
@@ -312,7 +372,7 @@ class TestReadoutOnTheTape:
 
     def test_one_readout_node_per_step(self, fp64):
         Es, forwards = _forwards(self.V)
-        for tape, teacher_forced, sampled, _ in forwards:
+        for tape, teacher_forced, sampled, *_ in forwards:
             ops = _ops(tape)
             assert ops.count("readout_nll") == teacher_forced
             assert ops.count("stgs_embed") == sampled
@@ -334,12 +394,13 @@ class TestOneNodePerLayer:
             return cell(*args, **kwargs)
 
         monkeypatch.setattr(ad, "lstm_cell", counting_cell)
-        for tape, teacher_forced, sampled, passes in _forwards(9)[1]:
+        for tape, teacher_forced, sampled, memories, passes in _forwards(9)[1]:
             ops = _ops(tape)
             assert ops.count("lstm_cell") == sum(t is tape for t in cell_tapes) > 0
-            # the attention keys and both initial states once a pass, the
-            # output layer once a step
-            assert ops.count("affine") == 3 * passes + teacher_forced + sampled
+            # the attention keys once a memory, both initial states once a
+            # decoder pass, the output layer once a step
+            assert ops.count("affine") == (memories + 2 * passes + teacher_forced
+                                           + sampled)
             produced = {id(out) for outs, _, _ in tape.nodes for out in outs}
             for op, (_, inputs, _) in zip(ops, tape.nodes):
                 if op == "add":
