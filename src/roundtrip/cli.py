@@ -199,10 +199,11 @@ def cmd_score(args) -> int:
         base = _read_bleu_runs(args.report[0])
         treat = _read_bleu_runs(args.report[1])
         rows = delta_bleu_report(base, treat)
-        print(format_delta_report(rows))
+        # the rows go first, so that a refused --csv-out prints nothing
         if args.csv_out:
             columns = list(rows[0])
             append_rows(args.csv_out, columns, [[r[c] for c in columns] for r in rows])
+        print(format_delta_report(rows))
         return 0
     if not args.hyp or not args.ref:
         raise UsageError("score requires --hyp and --ref (or --report)")
@@ -221,12 +222,12 @@ def cmd_score(args) -> int:
         pairs = load_parallel(args.src, args.ref, args.src_lang, args.tgt_lang)
         with ad.using_dtype(ckpt_io.precision(params)):
             ppl = perplexity(params, pairs, vocab)
-    print(f"BLEU = {bleu:.2f}")
-    if ppl is not None:
-        print(f"perplexity = {ppl:.4f}")
     if args.csv_out:
         append_rows(args.csv_out, ["hyp", "ref", "bleu"],
                     [[args.hyp, args.ref, f"{bleu:.4f}"]])
+    print(f"BLEU = {bleu:.2f}")
+    if ppl is not None:
+        print(f"perplexity = {ppl:.4f}")
     return 0
 
 

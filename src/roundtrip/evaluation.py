@@ -13,7 +13,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import ParallelPair, Vocab, length_ordered_batches
 from .model import (DecoderState, Memory, ModelParams, decode_step, encode,
-                    init_decoder_state, length_caps, prepare_memory)
+                    init_decoder_state, length_caps)
 
 
 @dataclass
@@ -28,6 +28,8 @@ class DecodeConfig:
             raise ValueError(f"unknown decode mode {self.mode!r}")
         if self.beam_width < 1:
             raise ValueError("beam width must be >= 1")
+        if self.mode == "greedy" and self.beam_width > 1:
+            raise ValueError(f"beam width {self.beam_width} needs mode='beam'")
 
 
 def greedy_decode(params: ModelParams, src_ids: np.ndarray, src_mask: np.ndarray,
@@ -67,7 +69,7 @@ def _search(params: ModelParams, src_ids: np.ndarray, src_mask: np.ndarray,
     Width 1 is argmax decoding and reads no scores.
     """
     B = src_ids.shape[0]
-    memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
+    memory = encode(params, src_ids, src_mask)
     state = init_decoder_state(params.dec, memory)
     sent = np.arange(B)                       # sentence of each row
     scores = np.zeros(B)                      # float64 log-probability of each row
@@ -214,7 +216,7 @@ def decode_corpus(params: ModelParams, vocab: Vocab, pairs: list[ParallelPair],
     batches of like length; the outputs keep the order of `pairs`."""
     out: list[str] = [""] * len(pairs)
     for positions, batch in length_ordered_batches(vocab, pairs, batch_size):
-        if config.mode == "beam" and config.beam_width > 1:
+        if config.beam_width > 1:
             rows = []
             for b in range(batch.size):
                 n = int(batch.src_mask[b].sum())

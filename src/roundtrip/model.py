@@ -133,16 +133,12 @@ class ModelParams:
 
 
 @dataclass
-class EncoderOutput:
-    annotations: Tensor           # (B, S, 2*d_hidden)
+class Memory:
+    """States a decoder attends over, with that decoder's attention keys."""
+
+    annotations: Tensor           # (B, S, d_ann)
     mask: np.ndarray              # (B, S) 0/1
-    summary: Tensor               # (B, 2*d_hidden) final fwd/bwd states
-
-
-@dataclass
-class Memory(EncoderOutput):
-    """Encoder output plus the precomputed attention keys for one decoder."""
-
+    summary: Tensor               # (B, d_ann): what the initial state reads
     ann_keys: Tensor              # (B, S, d_att)
 
 
@@ -153,9 +149,10 @@ class DecoderState:
 
 
 def encode(params: ModelParams, src_ids: np.ndarray | None, src_mask: np.ndarray,
-           src_embs: Sequence[Tensor] | None = None, train: bool = False,
-           rng: np.random.Generator | None = None) -> EncoderOutput:
+           src_embs: Sequence[Tensor] | None = None,
+           rng: np.random.Generator | None = None) -> Memory:
     """Bi-directional encoder; accepts hard ids or per-position embeddings.
+    Returns the memory `params.dec` reads; dropout runs when `rng` is given.
 
     Masked positions never update the recurrent state, so final states equal
     the states at each sentence's own last valid token.
@@ -164,7 +161,7 @@ def encode(params: ModelParams, src_ids: np.ndarray | None, src_mask: np.ndarray
     if S == 0 or not src_mask.any():
         raise ValueError("cannot encode an empty source")
     cfg = params.config
-    p_drop = cfg.dropout if train else 0.0
+    p_drop = cfg.dropout if rng is not None else 0.0
 
     embs = []
     for t in range(S):
@@ -186,12 +183,14 @@ def encode(params: ModelParams, src_ids: np.ndarray | None, src_mask: np.ndarray
     per_pos = [ad.concat([f, b], axis=-1) for f, b in zip(fwd_states, bwd_states)]
     annotations = ad.stack([ad.dropout(a, p_drop, rng) for a in per_pos], axis=1)
     summary = ad.concat([fwd_final, bwd_final], axis=-1)
-    return EncoderOutput(annotations, src_mask, summary)
+    return prepare_memory(params.dec, annotations, src_mask, summary)
 
 
-def prepare_memory(dec: DecoderParams, enc: EncoderOutput) -> Memory:
-    keys = ad.affine(enc.annotations, dec.att.w_ann, dec.att.bias)
-    return Memory(enc.annotations, enc.mask, enc.summary, keys)
+def prepare_memory(dec: DecoderParams, annotations: Tensor, mask: np.ndarray,
+                   summary: Tensor) -> Memory:
+    """The memory over `annotations` that `dec` reads, keyed by its attention."""
+    keys = ad.affine(annotations, dec.att.w_ann, dec.att.bias)
+    return Memory(annotations, mask, summary, keys)
 
 
 def init_decoder_state(dec: DecoderParams, memory: Memory) -> DecoderState:
@@ -208,16 +207,16 @@ def attend(dec: DecoderParams, state_h: Tensor, memory: Memory) -> tuple[Tensor,
 
 def decode_step(dec: DecoderParams, state: DecoderState, memory: Memory,
                 prev_ids: np.ndarray | None = None, prev_emb: Tensor | None = None,
-                train: bool = False,
                 rng: np.random.Generator | None = None) -> tuple[Tensor, DecoderState]:
     """One decoder step: returns the (B, d_emb) output of its tanh layer, whose
-    logits out @ E.T each consumer forms itself, and the new state.
+    logits out @ E.T each consumer forms itself, and the new state. Dropout
+    runs when `rng` is given.
 
     prev_ids feeds a token by id; prev_emb feeds a (B, d_emb) embedding as is.
     """
     if state is None:
         raise ValueError("decoder state is uninitialized")
-    p_drop = dec.dropout if train else 0.0
+    p_drop = dec.dropout if rng is not None else 0.0
 
     if prev_emb is None:
         prev_emb = ad.embedding(dec.E, prev_ids)
@@ -238,9 +237,10 @@ def length_caps(src_mask: np.ndarray, factor: int, offset: int) -> np.ndarray:
 
 
 def sequence_nll(dec: DecoderParams, memory: Memory, tgt_ids: np.ndarray,
-                 tgt_mask: np.ndarray, bos_id: int, train: bool = False,
+                 tgt_mask: np.ndarray, bos_id: int,
                  rng: np.random.Generator | None = None):
-    """Teacher-forced NLL summed over unmasked target positions.
+    """Teacher-forced NLL summed over unmasked target positions; dropout runs
+    when `rng` is given.
 
     Ground-truth tokens are fed at every step; the first input is BOS and the
     first prediction is the target language tag. Returns (loss_sum, n_tokens,
@@ -254,8 +254,7 @@ def sequence_nll(dec: DecoderParams, memory: Memory, tgt_ids: np.ndarray,
     loss_sum: Tensor | None = None
     states: list[Tensor] = []
     for t in range(T):
-        out, state = decode_step(dec, state, memory, prev_ids=prev,
-                                 train=train, rng=rng)
+        out, state = decode_step(dec, state, memory, prev_ids=prev, rng=rng)
         step_loss = ad.readout_nll(out, dec.E, tgt_ids[:, t], tgt_mask[:, t])
         loss_sum = step_loss if loss_sum is None else ad.add(loss_sum, step_loss)
         states.append(state.h)
@@ -268,7 +267,6 @@ def teacher_forced_nll(params: ModelParams, src_ids: np.ndarray, src_mask: np.nd
                        tgt_ids: np.ndarray, tgt_mask: np.ndarray, bos_id: int):
     """Encode then score the target under teacher forcing, dropout off;
     returns (loss_sum, n_tokens)."""
-    enc = encode(params, src_ids, src_mask)
     loss_sum, n_tokens, _ = sequence_nll(
-        params.dec, prepare_memory(params.dec, enc), tgt_ids, tgt_mask, bos_id)
+        params.dec, encode(params, src_ids, src_mask), tgt_ids, tgt_mask, bos_id)
     return loss_sum, n_tokens

@@ -137,12 +137,11 @@ class SampledSequence:
 
 def sample_translation(params: ModelParams, memory: Memory,
                        noise: GumbelNoiseSource, cfg: STGSConfig, bos_id: int,
-                       eos_id: int, train: bool = False,
-                       rng: np.random.Generator | None = None,
+                       eos_id: int, rng: np.random.Generator | None = None,
                        soft_forward: bool = False,
                        stop_on_eos: bool = True) -> SampledSequence:
-    """Decode from the source's `memory` (`prepare_memory` of `params.dec`)
-    by feeding back the model's own straight-through samples.
+    """Decode from the source's `memory` (its `encode`) by feeding back the
+    model's own straight-through samples; dropout runs when `rng` is given.
 
     Step 0 consumes BOS; a trained model then emits the target language tag.
     Each sentence stops at its first EOS or at its `length_caps` cap.
@@ -162,7 +161,7 @@ def sample_translation(params: ModelParams, memory: Memory,
     prev_emb: Tensor | None = None
     for t in range(int(caps.max())):
         out, state = decode_step(params.dec, state, memory, prev_ids=prev_ids,
-                                 prev_emb=prev_emb, train=train, rng=rng)
+                                 prev_emb=prev_emb, rng=rng)
         emb, hard_ids = stgs_embed(out, params.dec.E, noise.draw((B, params.config.vocab_size)),
                                    cfg.tau, soft_forward=soft_forward)
         steps.append(emb)

@@ -23,8 +23,8 @@ from .autodiff import Tape, Tensor
 from .config import RunConfig
 from .data import (Batch, LazyBatches, ParallelPair, Vocab, build_bidirectional_corpus,
                    make_batches)
-from .model import (DecoderParams, EncoderOutput, Memory, ModelParams, _xavier, encode,
-                    prepare_memory, sequence_nll)
+from .model import (DecoderParams, Memory, ModelParams, _xavier, encode, prepare_memory,
+                    sequence_nll)
 from .sampling import GumbelNoiseSource, STGSConfig, sample_translation
 
 # fixed stream tags so every RNG is a pure function of (seed, update)
@@ -50,14 +50,13 @@ def translation_loss(params: ModelParams, batch: Batch, bos_id: int,
                      train: bool = False, rng: np.random.Generator | None = None):
     """Teacher-forced NLL over the batch; returns (loss, sum_nats, n_tokens,
     memory, states); `loss` is the NLL per target token and `memory` the
-    source's encoding as the decoder reads it."""
+    source's encoding. Dropout draws from `rng` when `train` is set."""
     if batch.size == 0:
         raise ValueError("empty batch")
-    enc = encode(params, batch.src_ids, batch.src_mask, train=train, rng=rng)
-    memory = prepare_memory(params.dec, enc)
+    rng = rng if train else None
+    memory = encode(params, batch.src_ids, batch.src_mask, rng=rng)
     loss_sum, n_tokens, states = sequence_nll(
-        params.dec, memory, batch.tgt_ids, batch.tgt_mask, bos_id,
-        train=train, rng=rng)
+        params.dec, memory, batch.tgt_ids, batch.tgt_mask, bos_id, rng=rng)
     loss = ad.scalar_mul(loss_sum, 1.0 / n_tokens)
     return loss, float(loss_sum.data), n_tokens, memory, states
 
@@ -71,22 +70,19 @@ def reconstruction_loss(params: ModelParams, batch: Batch, noise: GumbelNoiseSou
     original source as the target of a teacher-forced pass over the sample;
     the loss is the NLL per source token. The sampler decodes from `memory`,
     the source's encoding that `translation_loss` returns, and with none
-    given it encodes the source itself."""
+    given it encodes the source itself. Dropout draws from `rng` when `train`
+    is set."""
     if phase != "finetune":
         raise PhaseError("reconstruction requires a pre-trained model "
                          "(fine-tune phase); got phase=" + phase)
+    rng = rng if train else None
     if memory is None:
-        memory = prepare_memory(params.dec, encode(params, batch.src_ids, batch.src_mask,
-                                                   train=train, rng=rng))
-    sampled = sample_translation(params, memory, noise, stgs, bos_id, eos_id,
-                                 train=train, rng=rng, soft_forward=soft_forward,
-                                 stop_on_eos=stop_on_eos)
-    enc = encode(params, None, sampled.mask, src_embs=sampled.steps,
-                 train=train, rng=rng)
-    memory = prepare_memory(params.dec, enc)
+        memory = encode(params, batch.src_ids, batch.src_mask, rng=rng)
+    sampled = sample_translation(params, memory, noise, stgs, bos_id, eos_id, rng=rng,
+                                 soft_forward=soft_forward, stop_on_eos=stop_on_eos)
+    back = encode(params, None, sampled.mask, src_embs=sampled.steps, rng=rng)
     loss_sum, n_tokens, _ = sequence_nll(
-        params.dec, memory, batch.src_ids, batch.src_mask, bos_id,
-        train=train, rng=rng)
+        params.dec, back, batch.src_ids, batch.src_mask, bos_id, rng=rng)
     loss = ad.scalar_mul(loss_sum, 1.0 / n_tokens)
     return loss, float(loss_sum.data), n_tokens, sampled
 
@@ -124,27 +120,26 @@ def hidden_reconstruction_loss(params: ModelParams, batch: Batch,
     (encoder annotations / decoder states of the translation pass) and are
     scored against the original source. Returns the weighted term plus the
     translation pass's components so the caller builds the full objective.
+    Dropout draws from `rng` when `train` is set.
     """
     if aux.dec_enc.d_ann != 2 * params.config.d_hidden:
         raise ValueError("encoder-side reconstructor width mismatch")
+    rng = rng if train else None
     t_loss, t_sum, t_tokens, memory, dec_states = translation_loss(
         params, batch, bos_id, train=train, rng=rng)
 
-    mem_enc = prepare_memory(aux.dec_enc, memory)
+    mem_enc = prepare_memory(aux.dec_enc, memory.annotations, memory.mask, memory.summary)
     enc_sum_t, enc_tokens, _ = sequence_nll(
-        aux.dec_enc, mem_enc, batch.src_ids, batch.src_mask, bos_id, train=train,
-        rng=rng)
+        aux.dec_enc, mem_enc, batch.src_ids, batch.src_mask, bos_id, rng=rng)
 
     # the summary is the mean of the decoder states over each row's targets
     mask = batch.tgt_mask
     dec_ann = ad.stack(dec_states, axis=1)
     dec_summary = ad.weighted_sum(
         ad.constant(mask / np.maximum(mask.sum(axis=1, keepdims=True), 1.0)), dec_ann)
-    enc_like = EncoderOutput(dec_ann, mask, dec_summary)
-    mem_dec = prepare_memory(aux.dec_dec, enc_like)
+    mem_dec = prepare_memory(aux.dec_dec, dec_ann, mask, dec_summary)
     dec_sum_t, _, _ = sequence_nll(
-        aux.dec_dec, mem_dec, batch.src_ids, batch.src_mask, bos_id, train=train,
-        rng=rng)
+        aux.dec_dec, mem_dec, batch.src_ids, batch.src_mask, bos_id, rng=rng)
 
     # both reconstructors score the same source tokens, so the weighted sum
     # is normalized by that count once

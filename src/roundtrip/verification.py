@@ -17,8 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
 from .data import Batch
-from .model import (ModelConfig, ModelParams, decode_step, encode,
-                    init_decoder_state, prepare_memory)
+from .model import ModelConfig, ModelParams, decode_step, encode, init_decoder_state
 from .sampling import GumbelNoiseSource, STGSConfig, sample_gumbel, stgs_embed
 from .training import reconstruction_loss, translation_loss
 
@@ -155,8 +154,7 @@ def decode_step_check(seed: int = 0) -> ComponentReport:
     target, prev = np.array([3]), np.array([1])
 
     def build_loss() -> Tensor:
-        enc = encode(params, src_ids, src_mask)
-        memory = prepare_memory(params.dec, enc)
+        memory = encode(params, src_ids, src_mask)
         state = init_decoder_state(params.dec, memory)
         out, _ = decode_step(params.dec, state, memory, prev_ids=prev)
         return ad.readout_nll(out, params.dec.E, target, np.ones(1))
@@ -175,9 +173,9 @@ def encode_one_token_check(seed: int = 0) -> ComponentReport:
     w_sum = ad.constant(rng.standard_normal((2, 8)))
 
     def build_loss() -> Tensor:
-        enc = encode(params, src_ids, src_mask)
-        return ad.add(ad.reduce_sum(ad.mul(enc.annotations, w_ann)),
-                      ad.reduce_sum(ad.mul(enc.summary, w_sum)))
+        memory = encode(params, src_ids, src_mask)
+        return ad.add(ad.reduce_sum(ad.mul(memory.annotations, w_ann)),
+                      ad.reduce_sum(ad.mul(memory.summary, w_sum)))
 
     encoder = [(n, p) for n, p in params.named_parameters() if not n.startswith("dec.")]
     return ComponentReport("encode_one_token", check_over_params(build_loss, encoder))

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from roundtrip.evaluation import DecodeConfig
-from roundtrip.model import (ModelParams, decode_step, encode, init_decoder_state,
-                             prepare_memory)
+from roundtrip.model import ModelParams, decode_step, encode, init_decoder_state
 
 
 def _caps(src_mask: np.ndarray, factor: int, offset: int) -> np.ndarray:
@@ -39,8 +38,7 @@ def beam_decode(params: ModelParams, src_ids: np.ndarray, src_mask: np.ndarray,
     """Length-normalized beam search over one sentence; width 1 is greedy."""
     if src_ids.shape[0] != 1:
         raise ValueError("beam_decode operates on a single sentence")
-    enc = encode(params, src_ids, src_mask)
-    memory = prepare_memory(params.dec, enc)
+    memory = encode(params, src_ids, src_mask)
     state0 = init_decoder_state(params.dec, memory)
     cap = int(_caps(src_mask, config.max_len_factor, config.max_len_offset)[0])
     width = config.beam_width

@@ -25,7 +25,7 @@ from roundtrip.config import RunConfig
 from roundtrip.data import (ParallelPair, TaggedSentence, Vocab,
                             build_bidirectional_corpus, make_batch)
 from roundtrip.evaluation import DecodeConfig, corpus_bleu, evaluate_bleu, greedy_decode
-from roundtrip.model import ModelConfig, ModelParams, encode, prepare_memory
+from roundtrip.model import ModelConfig, ModelParams, encode
 from roundtrip.sampling import (GumbelNoiseSource, STGSConfig, gumbel_max_step,
                                 sample_gumbel, sample_translation)
 from roundtrip.training import (LrScheduler, Trainer, hidden_reconstruction_loss,
@@ -88,7 +88,7 @@ def test_criterion_3_greedy_equivalence():
                 row = [4] + list(rng.integers(6, 14, size=m)) + [2]
                 src_ids[b, : len(row)] = row
                 src_mask[b, : len(row)] = 1.0
-            memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
+            memory = encode(params, src_ids, src_mask)
             seq = sample_translation(params, memory, GumbelNoiseSource(0.0, 0),
                                      STGSConfig(tau=2.0), bos_id=1, eos_id=2)
             greedy = greedy_decode(params, src_ids, src_mask, bos_id=1, eos_id=2)

@@ -660,7 +660,7 @@ PRIMS = {
             ad.constant(rng.standard_normal((4, 3))), ad.constant(rng.standard_normal(3))),
         Tensor(rng.standard_normal((2, 4)), requires_grad=True)),
     "attention": _attention_over_keys,
-    "cross_entropy": lambda rng: (
+    "readout_nll_out": lambda rng: (
         lambda x: ad.readout_nll(x, ad.constant(np.eye(4)), np.array([1, 0]), np.ones(2)),
         Tensor(rng.standard_normal((2, 4)), requires_grad=True)),
     "readout_nll": lambda rng: (
@@ -753,7 +753,7 @@ class TestClipGradients:
             assert np.array_equal(p.grad, g)
 
 
-class TestCrossEntropy:
+class TestReadoutScore:
     """The scoring half of `readout_nll`: with an identity E the readout's
     logits are `out` itself, exactly."""
 

@@ -530,20 +530,24 @@ class TestScore:
         assert out_csv.read_text().count("delta_mean") == 1
 
     def test_csv_out_refuses_a_file_of_another_header(self, tmp_path, capsys):
-        # a --hyp/--ref score, then a --report into the same file
+        # a --hyp/--ref score, then a --report into the same file; and the
+        # other way round. A refused run writes nothing to stdout.
         text = tmp_path / "text.txt"
         text.write_text("w1 w2\n")
         base = _write_bleu_runs(tmp_path / "base", [("l1-l2", 1, 30.0), ("l1-l2", 2, 31.0)])
         treat = _write_bleu_runs(tmp_path / "treat", [("l1-l2", 1, 30.5), ("l1-l2", 2, 31.5)])
-        out_csv = tmp_path / "x.csv"
-        assert run_cli("score", "--hyp", str(text), "--ref", str(text),
-                       "--csv-out", str(out_csv)) == 0
-        before = out_csv.read_bytes()
-        capsys.readouterr()
-        assert run_cli("score", "--report", base, treat, "--csv-out", str(out_csv)) == 1
-        err = capsys.readouterr().err
-        assert "hyp,ref,bleu" in err and "direction,baseline_mean" in err
-        assert out_csv.read_bytes() == before
+        score = ("score", "--hyp", str(text), "--ref", str(text))
+        report = ("score", "--report", base, treat)
+        for i, (first, second) in enumerate(((score, report), (report, score))):
+            out_csv = tmp_path / f"x{i}.csv"
+            assert run_cli(*first, "--csv-out", str(out_csv)) == 0
+            before = out_csv.read_bytes()
+            capsys.readouterr()
+            assert run_cli(*second, "--csv-out", str(out_csv)) == 1
+            out, err = capsys.readouterr()
+            assert "hyp,ref,bleu" in err and "direction,baseline_mean" in err
+            assert out == ""
+            assert out_csv.read_bytes() == before
 
 
 @pytest.fixture(scope="class")

@@ -14,8 +14,7 @@ from roundtrip.data import (ParallelPair, TaggedSentence, Vocab,
 from roundtrip.evaluation import (DecodeConfig, beam_decode,
                                   corpus_bleu, decode_corpus, delta_bleu_report,
                                   greedy_decode, perplexity, tokenize_13a_approx)
-from roundtrip.model import (ModelConfig, ModelParams, encode, prepare_memory,
-                             teacher_forced_nll)
+from roundtrip.model import ModelConfig, ModelParams, encode, teacher_forced_nll
 from roundtrip.sampling import GumbelNoiseSource, STGSConfig, sample_translation
 
 import reference_beam
@@ -98,7 +97,7 @@ class TestGreedyAndSampling:
                 row = [4] + list(toks) + [2]
                 src_ids[b, : len(row)] = row
                 src_mask[b, : len(row)] = 1.0
-            memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
+            memory = encode(params, src_ids, src_mask)
             seq = sample_translation(params, memory, GumbelNoiseSource(0.0, 0),
                                      STGSConfig(tau=2.0), bos_id=1, eos_id=2)
             greedy = greedy_decode(params, src_ids, src_mask, bos_id=1, eos_id=2)
@@ -293,8 +292,11 @@ class TestBeam:
                         1, 2, DecodeConfig(mode="beam", beam_width=2))
 
     def test_invalid_width_rejected(self):
-        with pytest.raises(ValueError):
-            DecodeConfig(mode="beam", beam_width=0)
+        # a width over 1 in greedy mode, the default, would decode greedy
+        for keys in ({"mode": "beam", "beam_width": 0}, {"beam_width": 5},
+                     {"mode": "greedy", "beam_width": 2}):
+            with pytest.raises(ValueError):
+                DecodeConfig(**keys)
 
 
 class TestPerplexity:

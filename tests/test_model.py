@@ -14,8 +14,7 @@ from roundtrip import model
 from roundtrip.autodiff import Tape, backward
 from roundtrip.data import Vocab
 from roundtrip.model import (ModelConfig, ModelParams, attend, decode_step, encode,
-                             init_decoder_state, prepare_memory,
-                             teacher_forced_nll)
+                             init_decoder_state, teacher_forced_nll)
 from roundtrip.training import Adam, translation_loss
 
 from conftest import attention_chain
@@ -78,8 +77,7 @@ class TestEncode:
     def test_pad_positions_get_zero_attention(self, fp64):
         params = tiny_params()
         src_ids, src_mask, _, _ = toy_batch()
-        enc = encode(params, src_ids, src_mask)
-        memory = prepare_memory(params.dec, enc)
+        memory = encode(params, src_ids, src_mask)
         state = init_decoder_state(params.dec, memory)
         _, alpha = attend(params.dec, state.h, memory)
         assert np.all(alpha.data[1, 3:] == 0.0)
@@ -94,7 +92,7 @@ class TestDecodeStep:
         with ad.using_dtype(precision):
             params = tiny_params()
             src_ids, src_mask, _, _ = toy_batch()
-            memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
+            memory = encode(params, src_ids, src_mask)
             state = init_decoder_state(params.dec, memory)
             with Tape() as tape:
                 context, alpha = attend(params.dec, state.h, memory)
@@ -112,7 +110,7 @@ class TestDecodeStep:
         # the step stops at its (B, d_emb) output; the tied readout is V wide
         params = tiny_params(vocab_size=9, d=6)
         src_ids, src_mask, _, _ = toy_batch()
-        memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
+        memory = encode(params, src_ids, src_mask)
         state = init_decoder_state(params.dec, memory)
         out, _ = decode_step(params.dec, state, memory, prev_ids=np.array([1, 1]))
         assert out.shape == (2, 6)
@@ -121,7 +119,7 @@ class TestDecodeStep:
     def test_embedding_feed_equals_id_feed_exactly(self, fp64):
         params = tiny_params()
         src_ids, src_mask, _, _ = toy_batch()
-        memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
+        memory = encode(params, src_ids, src_mask)
         state = init_decoder_state(params.dec, memory)
         ids = np.array([6, 7])
         by_id, _ = decode_step(params.dec, state, memory, prev_ids=ids)
@@ -133,7 +131,7 @@ class TestDecodeStep:
     def test_attention_weights_sum_to_one(self, fp64):
         params = tiny_params()
         src_ids, src_mask, _, _ = toy_batch()
-        memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
+        memory = encode(params, src_ids, src_mask)
         state = init_decoder_state(params.dec, memory)
         _, alpha = attend(params.dec, state.h, memory)
         np.testing.assert_allclose(alpha.data.sum(axis=-1), 1.0, atol=1e-9)
@@ -141,7 +139,7 @@ class TestDecodeStep:
     def test_uninitialized_state_errors(self, fp64):
         params = tiny_params()
         src_ids, src_mask, _, _ = toy_batch()
-        memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
+        memory = encode(params, src_ids, src_mask)
         with pytest.raises(ValueError):
             decode_step(params.dec, None, memory, prev_ids=np.array([1, 1]))
 
@@ -153,7 +151,7 @@ class TestDecodeStep:
         with ad.using_dtype(precision):
             params = tiny_params()
             src_ids, src_mask, tgt_ids, _ = toy_batch()
-            memory = prepare_memory(params.dec, encode(params, src_ids, src_mask))
+            memory = encode(params, src_ids, src_mask)
             state = init_decoder_state(params.dec, memory)
             out, _ = decode_step(params.dec, state, memory, prev_ids=np.array([1, 1]))
             rows = [ad.readout_nll(out, params.E, tgt_ids[:, 0], mask).data

@@ -24,6 +24,7 @@ def test_a_copy_of_this_tree_reads_identical(tmp_path, capsys):
     assert samework.main([str(copy_of_this_tree(tmp_path))]) == 0
     out = capsys.readouterr().out
     assert "sampled_beta5/metrics.csv" in out and "test.hyp" in out
+    assert "sampled_nodrop/metrics.csv" in out
     assert out.rstrip().endswith("outputs differ") and "\n0 of " in out
 
 

@@ -6,7 +6,7 @@ import pytest
 from roundtrip import autodiff as ad
 from roundtrip.autodiff import Tape, Tensor, backward, grad_check
 from roundtrip.evaluation import greedy_decode
-from roundtrip.model import ModelConfig, ModelParams, encode, prepare_memory
+from roundtrip.model import ModelConfig, ModelParams, encode
 from roundtrip.sampling import (GumbelNoiseSource, STGSConfig, gumbel_max_step,
                                 sample_gumbel, sample_translation, stgs_embed)
 
@@ -364,17 +364,12 @@ def toy_source(params, n=2):
     return src_ids, src_mask
 
 
-def source_memory(params, src_ids, src_mask):
-    """The memory the sampler decodes from, encoded without dropout."""
-    return prepare_memory(params.dec, encode(params, src_ids, src_mask))
-
-
 class TestSampleTranslation:
     def test_beta_zero_equals_greedy(self, fp64):
         params = tiny_params(seed=9)
         src_ids, src_mask = toy_source(params)
         noise = GumbelNoiseSource(0.0, 123)
-        seq = sample_translation(params, source_memory(params, src_ids, src_mask), noise,
+        seq = sample_translation(params, encode(params, src_ids, src_mask), noise,
                                  STGSConfig(tau=2.0), bos_id=1, eos_id=2)
         greedy = greedy_decode(params, src_ids, src_mask, bos_id=1, eos_id=2)
         for b in range(2):
@@ -386,7 +381,7 @@ class TestSampleTranslation:
             params = tiny_params(seed=1)
             src_ids, src_mask = toy_source(params)
             noise = GumbelNoiseSource(1.0, 5)
-            seq = sample_translation(params, source_memory(params, src_ids, src_mask), noise,
+            seq = sample_translation(params, encode(params, src_ids, src_mask), noise,
                                      STGSConfig(tau=2.0), bos_id=1, eos_id=2)
         assert len(seq.steps) == seq.ids.shape[1] > 1
         for t, st in enumerate(seq.steps):
@@ -398,7 +393,7 @@ class TestSampleTranslation:
         # cap of 1 step per sentence; EOS cannot appear unless sampled first
         cfg = STGSConfig(tau=2.0, max_len_factor=0, max_len_offset=1)
         noise = GumbelNoiseSource(0.0, 0)
-        seq = sample_translation(params, source_memory(params, src_ids, src_mask), noise, cfg,
+        seq = sample_translation(params, encode(params, src_ids, src_mask), noise, cfg,
                                  bos_id=1, eos_id=2)
         assert len(seq.steps) == 1
         assert np.all(seq.lengths == 1)
@@ -412,7 +407,7 @@ class TestSampleTranslation:
 
         def run():
             noise = GumbelNoiseSource(0.7, 99)
-            seq = sample_translation(params, source_memory(params, src_ids, src_mask), noise,
+            seq = sample_translation(params, encode(params, src_ids, src_mask), noise,
                                      STGSConfig(tau=1.5), bos_id=1, eos_id=2)
             return [seq.token_ids(b) for b in range(2)]
 
@@ -424,7 +419,7 @@ class TestSampleTranslation:
         outs = []
         for s in range(8):
             noise = GumbelNoiseSource(2.0, s)
-            seq = sample_translation(params, source_memory(params, src_ids, src_mask), noise,
+            seq = sample_translation(params, encode(params, src_ids, src_mask), noise,
                                      STGSConfig(tau=1.5), bos_id=1, eos_id=2)
             outs.append(tuple(tuple(seq.token_ids(b)) for b in range(2)))
         assert len(set(outs)) > 1

@@ -231,9 +231,10 @@ class TestObjectives:
         n_src = float(batch.src_mask.sum())
         enc_only, enc_sum, n_tokens, *_ = hidden_reconstruction_loss(
             params, batch, aux, bos_id=1, w_enc=1.0, w_dec=0.0)
+        memory = encode(params, batch.src_ids, batch.src_mask)
         enc_nll, _, _ = sequence_nll(
-            aux.dec_enc, prepare_memory(aux.dec_enc, encode(params, batch.src_ids,
-                                                            batch.src_mask)),
+            aux.dec_enc,
+            prepare_memory(aux.dec_enc, memory.annotations, memory.mask, memory.summary),
             batch.src_ids, batch.src_mask, 1)
         assert n_tokens == n_src
         assert enc_sum == pytest.approx(float(enc_nll.data), rel=1e-12)
@@ -248,9 +249,9 @@ class TestObjectives:
         # translation pass's decoder states over each row's target tokens
         memories = []
 
-        def spy(dec, enc):
-            memories.append(enc)
-            return prepare_memory(dec, enc)
+        def spy(dec, annotations, mask, summary):
+            memories.append(prepare_memory(dec, annotations, mask, summary))
+            return memories[-1]
 
         monkeypatch.setattr(training, "prepare_memory", spy)
         with ad.using_dtype("fp32"):
@@ -270,6 +271,38 @@ class TestObjectives:
         aux = HiddenReconstructorParams(other_cfg, np.random.default_rng(0))
         with pytest.raises(ValueError, match="width mismatch"):
             hidden_reconstruction_loss(params, toy_batch(), aux, bos_id=1)
+
+
+class TestDropoutSwitch:
+    """The losses that take `train` pass their dropout stream on only when it
+    is set: off, they draw nothing from the `rng` given and record no
+    dropout node; on, they draw."""
+
+    @pytest.mark.parametrize("precision", ["fp32", "fp64"])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_losses_draw_from_rng_only_in_training(self, precision, train):
+        with ad.using_dtype(precision):
+            cfg = ModelConfig(vocab_size=9, d_emb=6, d_hidden=6, d_attention=6,
+                              dropout=0.1)
+            params = ModelParams(cfg, np.random.default_rng(4))
+            aux = HiddenReconstructorParams(cfg, np.random.default_rng(6))
+            batch = toy_batch()
+            losses = {
+                "translation": lambda rng: translation_loss(
+                    params, batch, bos_id=1, train=train, rng=rng),
+                "reconstruction": lambda rng: reconstruction_loss(
+                    params, batch, GumbelNoiseSource(0.5, 3), STGSConfig(tau=2.0),
+                    bos_id=1, eos_id=2, phase="finetune", train=train, rng=rng),
+                "hidden": lambda rng: hidden_reconstruction_loss(
+                    params, batch, aux, bos_id=1, train=train, rng=rng),
+            }
+            for name, loss in losses.items():
+                rng = np.random.default_rng(5)
+                before = rng.bit_generator.state
+                with Tape() as tape:
+                    loss(rng)
+                assert (rng.bit_generator.state != before) == train, name
+                assert ("dropout" in _ops(tape)) == train, name
 
 
 def _sampled_trainer(tmp_path, recon_dropout=True):
@@ -304,10 +337,11 @@ class TestSampledUpdate:
                 return original(*args, **kwargs)
             return counted
 
-        # every toolkit module that holds the functions calls them counted
+        # every toolkit module that holds the functions calls them counted;
+        # `encode` builds its memory's keys with `model.prepare_memory`
         for name in ("encode", "prepare_memory"):
             original = getattr(model, name)
-            for module in (training, sampling):
+            for module in (model, training, sampling):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, count(name, original))
         with Tape():

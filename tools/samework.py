@@ -10,8 +10,9 @@ this script sits in, uncommitted edits included.
 
 Each tree runs the recipe in one process of its own, with one BLAS thread,
 calling `roundtrip.cli.main` once per step: a synthetic corpus, a pretrain,
-sampled fine-tunes at beta 0 and beta 0.5, a hidden fine-tune, a BPE
-pretrain, a beam-5 `translate` and `score --src --checkpoint`. Every step
+sampled fine-tunes at beta 0 and beta 0.5, one at beta 0.5 with
+`recon_dropout=false`, a hidden fine-tune, a BPE pretrain, a beam-5
+`translate` and `score --src --checkpoint`. Every step
 runs in the tree's own working directory with relative paths, and its
 standard output is kept as `<step>.out`.
 
@@ -70,6 +71,7 @@ def run_recipe() -> None:
     finetune = {"max_updates": FINETUNE_UPDATES, "checkpoint_interval": FINETUNE_UPDATES}
     beta0 = _write_config("beta0.cfg", beta=0.0, **finetune)
     beta5 = _write_config("beta5.cfg", beta=0.5, **finetune)
+    nodrop = _write_config("nodrop.cfg", beta=0.5, recon_dropout="false", **finetune)
     init = ["--init-checkpoint", PRETRAINED]
     steps = [
         ("synth", ["synth", *CORPUS]),
@@ -78,6 +80,8 @@ def run_recipe() -> None:
                            "--recon-mode", "sampled", "--out-dir", "sampled_beta0"]),
         ("sampled_beta5", ["finetune", "--config", beta5, *init,
                            "--recon-mode", "sampled", "--out-dir", "sampled_beta5"]),
+        ("sampled_nodrop", ["finetune", "--config", nodrop, *init,
+                            "--recon-mode", "sampled", "--out-dir", "sampled_nodrop"]),
         ("hidden", ["finetune", "--config", beta0, *init,
                     "--recon-mode", "hidden", "--out-dir", "hidden"]),
         ("bpe_pretrain", ["train", "--config", bpe, "--out-dir", "bpe"]),
